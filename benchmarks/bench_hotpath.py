@@ -1,12 +1,13 @@
 """Hot-path kernel benchmark: reference loops vs. batch-vectorized kernels.
 
 Runs static discovery on the LDBC and IYP generators at two scales for
-both LSH methods, once with ``kernels="reference"`` (the element-at-a-time
-loops, i.e. the pre-kernel implementation) and once with
-``kernels="vectorized"`` (distinct-pattern compaction, CSR MinHash,
-vectorized banding, embedder reuse).  Both modes must produce
-byte-identical serialized schemas; the speedup table is written to
-``BENCH_hotpath.json`` at the repository root.
+both LSH methods, once through the reference engine of
+``tests/oracles/reference.py`` (the element-at-a-time loops, i.e. the
+pre-kernel implementation) and once through the production engine
+(distinct-pattern compaction, CSR MinHash, vectorized banding, embedder
+reuse).  Both must produce byte-identical serialized schemas; the
+speedup table is written to ``BENCH_hotpath.json`` at the repository
+root.
 
 Usage:
 
@@ -22,8 +23,12 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
 from pathlib import Path
+
+# The reference engine is a test oracle and lives under tests/.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from repro.core.config import LSHMethod, PGHiveConfig
 from repro.core.pipeline import PGHive
@@ -31,6 +36,7 @@ from repro.datasets import get_dataset
 from repro.graph.store import GraphStore
 from repro.schema import serialize_pg_schema
 from repro.util.tables import render_table
+from tests.oracles.reference import discover_reference
 
 BASE_SCALES = (2.0, 8.0)
 DATASETS = ("LDBC", "IYP")
@@ -38,15 +44,22 @@ REPEATS = 3
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_hotpath.json"
 
 
-def _run_once(store: GraphStore, method: LSHMethod, kernels: str):
-    """One discovery run; returns (seconds, serialized schema, report)."""
-    config = PGHiveConfig(
-        method=method, post_processing=False, kernels=kernels
-    )
+def _run_once(store: GraphStore, method: LSHMethod, engine: str):
+    """One discovery run; returns (seconds, serialized schema, report).
+
+    ``engine`` is ``"reference"`` (the oracle engine) or
+    ``"vectorized"`` (the production engine).
+    """
+    config = PGHiveConfig(method=method, post_processing=False)
     started = time.perf_counter()
-    result = PGHive(config).discover(store)
+    if engine == "reference":
+        reference = discover_reference(store, config)
+        schema, report = reference.schema, reference.reports[0]
+    else:
+        result = PGHive(config).discover(store)
+        schema, report = result.schema, result.batches[0]
     elapsed = time.perf_counter() - started
-    return elapsed, serialize_pg_schema(result.schema), result.batches[0]
+    return elapsed, serialize_pg_schema(schema), report
 
 
 def run_hotpath_bench(multiplier: float, repeats: int = REPEATS) -> dict:
@@ -65,21 +78,21 @@ def run_hotpath_bench(multiplier: float, repeats: int = REPEATS) -> dict:
                 timings = {}
                 schemas = {}
                 stage_seconds = {}
-                for kernels in ("reference", "vectorized"):
+                for engine in ("reference", "vectorized"):
                     best = float("inf")
                     for _ in range(repeats):
                         elapsed, schema, report = _run_once(
-                            store, method, kernels
+                            store, method, engine
                         )
                         if elapsed < best:
                             best = elapsed
-                            stage_seconds[kernels] = {
+                            stage_seconds[engine] = {
                                 name: round(seconds, 6)
                                 for name, seconds in
                                 report.stage_seconds.items()
                             }
-                    timings[kernels] = best
-                    schemas[kernels] = schema
+                    timings[engine] = best
+                    schemas[engine] = schema
                 runs.append({
                     "dataset": dataset,
                     "scale": scale,
@@ -103,8 +116,8 @@ def run_hotpath_bench(multiplier: float, repeats: int = REPEATS) -> dict:
     return {
         "description": (
             "Static-discovery wall-clock of the element-at-a-time reference "
-            "loops (kernels='reference', the pre-kernel implementation) vs. "
-            "the batch-vectorized kernels (kernels='vectorized'); best of "
+            "engine (tests/oracles, the pre-kernel implementation) vs. "
+            "the batch-vectorized production engine; best of "
             f"{repeats} runs each, identical seeds, byte-compared schemas."
         ),
         "scale_multiplier": multiplier,
@@ -163,7 +176,7 @@ def main() -> None:
     OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {OUTPUT}")
     if not all(run["schemas_identical"] for run in payload["runs"]):
-        raise SystemExit("schema mismatch between kernels modes")
+        raise SystemExit("schema mismatch between reference and production")
 
 
 if __name__ == "__main__":

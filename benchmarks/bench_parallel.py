@@ -12,11 +12,12 @@ host the measured speedup approaches the projection; on a quota-limited
 host the calibration documents the ceiling.
 
 The payload also records the worker payload cost: what actually crosses
-the process pipe under every shard transport.  Under ``pickle`` that is
-shard plans out and per-shard schemas back, pickled whole; under ``shm``
-and ``memmap`` the results land in shared segments and only tiny
-``SlabRef`` handles cross the pipe, so ``pipe_payload_bytes`` collapses
-by orders of magnitude.  The partition timing separates the parent's
+the process pipe.  Pooled runs return results through shared segments
+(``shm``, or ``memmap`` files on hosts without ``/dev/shm``): only tiny
+``SlabRef`` handles cross the pipe.  The ``pickle`` entry is the
+counterfactual -- shard plans out and per-shard schemas back, pickled
+whole -- against which ``pipe_payload_bytes`` collapses by orders of
+magnitude.  The partition timing separates the parent's
 serial share (node tables + bucket concatenation + install) from the
 edge bucketing the driver now runs on the worker pool.  A second stage
 table compares section 4.4 post-processing as the serial engine runs it
@@ -42,6 +43,7 @@ import pickle
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy
@@ -58,6 +60,7 @@ from repro.core.postprocess import (
     infer_datatypes,
     infer_property_constraints,
 )
+from repro.core import transport as transport_module
 from repro.core.transport import (
     SegmentRegistry,
     publish_result_bytes,
@@ -110,15 +113,33 @@ def calibrate_cpu(workers: int = 4) -> dict:
     }
 
 
-def _measure_transports(plans, results) -> dict:
-    """What each shard transport sends through the process pipe.
+@contextmanager
+def _pinned_transport(transport: str):
+    """Run the pool on ``transport``; memmap is forced by hiding shm.
 
-    ``pickle`` ships plans out and the full ``ShardResult`` list back.
-    The zero-copy transports publish each result's pickled bytes into a
-    segment via the real worker handshake (reserve in the driver,
-    ``publish_result_bytes`` in the worker, ``consume_bytes`` back in
-    the driver) and only the pickled ``SlabRef`` crosses the pipe --
-    ``ship_seconds`` times the full round trip either way.
+    Yields False (and pins nothing) when the host cannot provide it.
+    """
+    if transport == "shm":
+        yield resolve_transport() == "shm"
+        return
+    original = transport_module.shm_available
+    transport_module.shm_available = lambda: False
+    try:
+        yield True
+    finally:
+        transport_module.shm_available = original
+
+
+def _measure_transports(plans, results) -> dict:
+    """What shard results send through the process pipe.
+
+    ``pickle`` is the counterfactual: plans out and the full
+    ``ShardResult`` list back through the pipe.  The segment kinds
+    publish each result's pickled bytes via the real worker handshake
+    (reserve in the driver, ``publish_result_bytes`` in the worker,
+    ``consume_bytes`` back in the driver) and only the pickled
+    ``SlabRef`` crosses the pipe -- ``ship_seconds`` times the full
+    round trip either way.
     """
     plans_bytes = len(pickle.dumps(plans))
     started = time.perf_counter()
@@ -132,8 +153,8 @@ def _measure_transports(plans, results) -> dict:
         }
     }
     for transport in ("shm", "memmap"):
-        if resolve_transport(transport) != transport:
-            entries[transport] = {"degraded_to": resolve_transport(transport)}
+        if transport == "shm" and resolve_transport() != "shm":
+            entries[transport] = {"degraded_to": "memmap"}
             continue
         with SegmentRegistry(transport) as registry:
             ref_bytes = 0
@@ -162,7 +183,7 @@ def _measure_serial_components(graph, config) -> dict:
     partition (node tables, bucket concatenation, install) separately
     from the pool-parallel edge bucketing, (b) the merge tree over the
     per-shard schemas, and (c) what a pool run ships across the pipe
-    under every transport.
+    against the full-pickle counterfactual.
     """
     store = GraphStore(graph)
     started = time.perf_counter()
@@ -328,20 +349,22 @@ def run_parallel_bench(
         )
         transport_jobs = 4 if 4 in jobs_list else jobs_list[-1]
         transport_runs: dict[str, dict] = {}
-        for transport in ("pickle", "shm", "memmap"):
+        for transport in ("shm", "memmap"):
             store = GraphStore(graph)
             transport_config = PGHiveConfig(
-                post_processing=False,
-                jobs=transport_jobs,
-                shard_transport=transport,
+                post_processing=False, jobs=transport_jobs
             )
-            started = time.perf_counter()
-            result = PGHive(transport_config).discover_incremental(
-                store, num_batches=NUM_BATCHES
-            )
+            with _pinned_transport(transport) as pinned:
+                if not pinned:
+                    continue
+                started = time.perf_counter()
+                result = PGHive(transport_config).discover_incremental(
+                    store, num_batches=NUM_BATCHES
+                )
+                wall_seconds = time.perf_counter() - started
             transport_runs[transport] = {
                 "jobs": transport_jobs,
-                "wall_seconds": round(time.perf_counter() - started, 6),
+                "wall_seconds": round(wall_seconds, 6),
                 "transport": result.parameters.get(
                     "parallel/transport", ""
                 ),
@@ -386,10 +409,11 @@ def run_parallel_bench(
             "amdahl_projected_speedup applies the measured serial "
             "fraction (parent-serial partition share + merge tree) to "
             "ideal cores.  Each run's transports block records the "
-            "bytes each shard transport sends through the process pipe "
-            "(full pickles vs. SlabRef handles into shared segments) "
-            "and transport_runs byte-compares a pooled run per "
-            "transport against the sequential schema.  Each run's "
+            "bytes shard results send through the process pipe (the "
+            "full-pickle counterfactual vs. SlabRef handles into shm or "
+            "memmap segments) and transport_runs byte-compares a pooled "
+            "run per segment kind against the sequential schema.  Each "
+            "run's "
             "postprocess block compares the serial store-backed "
             "section 4.4 passes against the sharded partial-stats fold "
             "(attach in workers + one apply at the driver)."
@@ -488,21 +512,22 @@ def _print_table(payload: dict) -> None:
                     f"degraded to {entry['degraded_to']}",
                 ])
                 continue
-            wall = run["transport_runs"].get(name, {})
+            wall = run["transport_runs"].get(name)
             transport_rows.append([
                 f"{run['scale']:g}",
                 name,
                 str(entry["pipe_payload_bytes"]),
                 f"{entry['ship_seconds'] * 1000:.1f}",
-                f"{wall.get('wall_seconds', 0) * 1000:.0f}",
-                "yes" if wall.get("schemas_identical") else "NO",
+                "-" if wall is None else f"{wall['wall_seconds'] * 1000:.0f}",
+                "-" if wall is None
+                else "yes" if wall["schemas_identical"] else "NO",
             ])
     print(render_table(
         ["scale", "transport", "pipe bytes", "ship ms",
          "pool wall ms", "identical"],
         transport_rows,
         "Shard transport comparison: bytes through the process pipe "
-        "and a pooled end-to-end run per transport",
+        "and a pooled end-to-end run per segment kind",
     ))
     post_rows = []
     for run in payload["runs"]:

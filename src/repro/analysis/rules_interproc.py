@@ -48,7 +48,6 @@ __all__ = [
 #: byte-identical results for any worker count / chunk schedule.
 WORKER_ROOTS: tuple[str, ...] = (
     "core/parallel.py:_discover_plan_chunk",
-    "core/parallel.py:_discover_columns_chunk",
     "core/parallel.py:_discover_one",
     "core/parallel.py:_bucket_edges_task",
 )

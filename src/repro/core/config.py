@@ -56,13 +56,6 @@ class PGHiveConfig:
         infer_datatypes_by_sampling: Use the sampled datatype mode.
         datatype_sample_fraction / datatype_sample_minimum: Its parameters
             (paper: 10 % of the properties, at least 1000).
-        kernels: ``"vectorized"`` (default) runs the hot path through the
-            batch-level numpy kernels (distinct-pattern compaction, CSR
-            MinHash, vectorized banding and refinement, embedder reuse);
-            ``"reference"`` runs the element-at-a-time reference loops the
-            kernels are tested against.  Both produce byte-identical
-            schemas for a fixed seed; the reference path is the
-            measurement baseline of ``benchmarks/bench_hotpath.py``.
         jobs: Worker processes for incremental discovery.  ``1`` (default)
             keeps the fully sequential engine (byte-identical to previous
             releases); ``N > 1`` runs batch schemas in a process pool and
@@ -84,19 +77,6 @@ class PGHiveConfig:
         shard_retry_backoff: Base seconds slept before requeueing a
             failed shard; the wait grows linearly with the attempt
             number.  Scheduling-only -- never affects the schema.
-        shard_transport: How parallel shard payloads and results cross
-            the process-pool boundary.  ``"shm"`` (default) writes
-            column/index arrays and pickled shard results into named
-            POSIX shared-memory segments so workers *attach* instead of
-            unpickling -- only names and offsets travel through the
-            pipe; ``"memmap"`` does the same with files under a scratch
-            directory (beneath ``checkpoint_dir`` when set, else the
-            system temp dir); ``"pickle"`` keeps the original
-            everything-through-the-pipe behavior.  ``"shm"``
-            automatically degrades to ``"memmap"`` on hosts without
-            working shared memory.  Transport never affects the
-            discovered schema (``tests/test_parallel.py`` proves all
-            three byte-identical).
         shard_memory_limit_mb: Optional worker RSS budget in MiB.  When
             set, workers check their resident set between pipeline
             stages and raise before the kernel OOM killer fires; the
@@ -190,13 +170,11 @@ class PGHiveConfig:
     infer_datatypes_by_sampling: bool = False
     datatype_sample_fraction: float = 0.1
     datatype_sample_minimum: int = 1000
-    kernels: str = "vectorized"
     jobs: int = 1
     parallel_chunk: str = "auto"
     shard_timeout: float | None = None
     shard_retries: int = 2
     shard_retry_backoff: float = 0.05
-    shard_transport: str = "shm"
     shard_memory_limit_mb: float | None = None
     strict_recovery: bool = False
     faults: str | None = None
@@ -227,8 +205,6 @@ class PGHiveConfig:
             raise ValueError("label_weight must be non-negative")
         if self.minhash_rows_per_band < 1:
             raise ValueError("minhash_rows_per_band must be >= 1")
-        if self.kernels not in ("vectorized", "reference"):
-            raise ValueError("kernels must be 'vectorized' or 'reference'")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         if self.parallel_chunk != "auto":
@@ -247,11 +223,6 @@ class PGHiveConfig:
             raise ValueError("shard_retries must be >= 0")
         if self.shard_retry_backoff < 0:
             raise ValueError("shard_retry_backoff must be >= 0")
-        if self.shard_transport not in ("pickle", "shm", "memmap"):
-            raise ValueError(
-                "shard_transport must be 'pickle', 'shm' or 'memmap', "
-                f"got {self.shard_transport!r}"
-            )
         if (
             self.shard_memory_limit_mb is not None
             and self.shard_memory_limit_mb <= 0

@@ -11,7 +11,7 @@ pairwise merge tree of :func:`repro.schema.merge.merge_schema_tree`.
 Payload contract and shard transport
 ------------------------------------
 Workers never receive pickled :class:`~repro.graph.model.Node` /
-:class:`~repro.graph.model.Edge` objects.  Three payload modes exist:
+:class:`~repro.graph.model.Edge` objects.  Two payload modes exist:
 
 * **plan mode** (:meth:`ParallelDiscovery.discover_store`): the parent
   computes the shard partition -- the node half serially (one seeded
@@ -26,22 +26,18 @@ Workers never receive pickled :class:`~repro.graph.model.Node` /
   :class:`~repro.datasets.stream.StreamShardPlan` scalars and *replay*
   the stream's deterministic generation themselves, so batch generation
   and columnization both ride the pool.
-* **columns mode** (:meth:`ParallelDiscovery.discover_batches`): for
-  arbitrary pre-batched data the parent columnizes each batch once and
-  ships the compact integer-id arrays.
 
-How results (and columns-mode payloads) cross the pool boundary is the
-``config.shard_transport`` knob (:mod:`repro.core.transport`): under
-``shm``/``memmap`` the driver pre-reserves one segment name per task,
-workers publish their pickled shard results into that segment and return
-only a tiny :class:`~repro.core.transport.SlabRef` through the pipe, and
-columns-mode arrays travel as :class:`ColumnsHandle` offsets into one
-shared slab that workers attach read-only.  ``pickle`` keeps the
-classic everything-through-the-pipe behavior.  The driver-owned
-:class:`~repro.core.transport.SegmentRegistry` tracks every name from
-reservation to unlink, so no exit path -- success, raise, dead worker,
-timeout SIGKILL, injected attach/unlink fault -- can leak a segment.
-Transport never affects the discovered schema.
+Results cross the pool boundary through shared segments
+(:mod:`repro.core.transport`): the driver pre-reserves one segment name
+per task, the worker publishes its pickled shard results into that
+segment and returns only a tiny :class:`~repro.core.transport.SlabRef`
+through the pipe.  Segments are POSIX shared memory, or memmap files
+when the host has no working ``/dev/shm``
+(:func:`~repro.core.transport.resolve_transport` decides).  The
+driver-owned :class:`~repro.core.transport.SegmentRegistry` tracks every
+name from reservation to unlink, so no exit path -- success, raise, dead
+worker, timeout SIGKILL, injected unlink fault -- can leak a segment.
+The segment kind never affects the discovered schema.
 
 Failure model and recovery
 --------------------------
@@ -88,10 +84,10 @@ Determinism contract
 The final schema is a pure function of the set of *successful* shard
 schemas: the driver sorts them by shard index and reduces them through
 the canonical index-ordered merge tree, so the result is independent of
-worker count, chunking, completion order, transport, and of how many
+worker count, chunking, completion order, segment kind, and of how many
 attempts each shard needed.  On labeled data the result is
-byte-identical to ``jobs=1`` for every transport
-(``tests/test_parallel.py`` enforces both properties).
+byte-identical to ``jobs=1`` (``tests/test_parallel.py`` enforces both
+properties).
 """
 
 from __future__ import annotations
@@ -104,9 +100,10 @@ import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterator, Sequence
 
 import numpy
 
@@ -121,8 +118,6 @@ from repro.core.columns import (
     EdgeColumns,
     NodeColumns,
     edge_columns,
-    key_space_from_orders,
-    label_space_from_sets,
     node_columns,
 )
 from repro.core.config import PGHiveConfig
@@ -136,11 +131,8 @@ from repro.core.postprocess import (
 )
 from repro.core.result import BatchReport, DiscoveryResult, ShardFailure
 from repro.core.transport import (
-    ArrayRef,
     SegmentRegistry,
-    Slab,
     SlabRef,
-    attach_slab,
     publish_result_bytes,
     resolve_transport,
 )
@@ -160,7 +152,6 @@ from repro.schema.persist import (
 )
 
 __all__ = [
-    "ColumnsHandle",
     "ParallelDiscovery",
     "ShardMemoryError",
     "ShardRecoveryError",
@@ -170,43 +161,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ColumnsHandle:
-    """Zero-copy handle to one pre-columnized batch inside a shared slab.
-
-    Ships only offsets/dtypes plus the interner states (label sets and
-    first-seen key orders) needed to rebuild byte-identical
-    :class:`~repro.core.columns.NodeColumns` /
-    :class:`~repro.core.columns.EdgeColumns` from read-only views of the
-    attached slab.
-    """
-
-    index: int
-    slab: SlabRef
-    node_ids: ArrayRef
-    node_label_ids: ArrayRef
-    node_keyset_ids: ArrayRef
-    edge_ids: ArrayRef
-    edge_source: ArrayRef
-    edge_target: ArrayRef
-    edge_label_ids: ArrayRef
-    edge_src_label_ids: ArrayRef
-    edge_tgt_label_ids: ArrayRef
-    edge_keyset_ids: ArrayRef
-    node_label_sets: tuple[frozenset[str], ...]
-    node_key_orders: tuple[tuple[str, ...], ...]
-    edge_label_sets: tuple[frozenset[str], ...]
-    edge_key_orders: tuple[tuple[str, ...], ...]
-
-
-# One unit of pool work: a shard recipe (plan/stream mode), a slab handle,
-# or a pre-columnized batch tuple (columns mode, pickle transport).
-Payload = (
-    ShardPlan
-    | StreamShardPlan
-    | ColumnsHandle
-    | tuple[int, NodeColumns, EdgeColumns]
-)
+# One unit of pool work: a shard recipe over a store or a seeded stream.
+Payload = ShardPlan | StreamShardPlan
 
 
 class ShardRecoveryError(RuntimeError):
@@ -293,19 +249,19 @@ def combine_shard_results(
 # Worker side.  State shared by fork inheritance: the parent sets
 # ``_PARENT_STATE`` immediately before creating the pool, children
 # inherit the reference copy-on-write, and nothing graph-sized is ever
-# pickled.  (Pool tasks themselves carry only plans, slab handles or
-# column arrays, plus the per-shard attempt numbers the fault injector
-# keys on, plus the driver-reserved result segment name.)
+# pickled.  (Pool tasks themselves carry only plans, plus the per-shard
+# attempt numbers the fault injector keys on, plus the driver-reserved
+# result segment name.)
 # ----------------------------------------------------------------------
 @dataclass
 class _ParentState:
     """Everything a forked worker inherits from the driver."""
 
-    source: BaseGraphStore | GraphStream | None
+    source: BaseGraphStore | GraphStream
     config: PGHiveConfig
+    transport: str
+    scratch_dir: str | None
     snapshot: MemoSnapshot | None = None
-    transport: str = "pickle"
-    scratch_dir: str | None = None
 
 
 _PARENT_STATE: _ParentState | None = None
@@ -358,29 +314,8 @@ def _check_memory(
         )
 
 
-def _ship_results(
-    results: list[ShardResult], reserved: str | None
-) -> list[ShardResult] | SlabRef:
-    """Return results directly, or publish them into the reserved segment.
-
-    With a zero-copy transport the driver pre-reserved a segment name for
-    this task; the worker serializes its results once into that segment
-    and returns only the tiny ref through the pipe.
-    """
-    if reserved is None:
-        return results
-    state = _PARENT_STATE
-    if state is None:
-        raise RuntimeError("worker has no inherited parent state")
-    data = pickle.dumps(results, protocol=pickle.HIGHEST_PROTOCOL)
-    return publish_result_bytes(
-        state.transport, state.scratch_dir, reserved, data
-    )
-
-
 def _materialize_plan(
-    source: BaseGraphStore | GraphStream | None,
-    plan: ShardPlan | StreamShardPlan,
+    source: BaseGraphStore | GraphStream, plan: Payload
 ) -> GraphBatch:
     """Dispatch a shard recipe to its source's materializer."""
     if isinstance(plan, ShardPlan) and isinstance(source, BaseGraphStore):
@@ -394,22 +329,40 @@ def _materialize_plan(
 
 
 def _discover_plan_chunk(
-    plans: Sequence[ShardPlan | StreamShardPlan],
+    plans: Sequence[Payload], attempts: Sequence[int], reserved: str
+) -> SlabRef:
+    """Pool task: discover a chunk, publish it into the reserved segment.
+
+    The worker serializes its results once into the segment the driver
+    reserved for this task and returns only the tiny ref through the
+    pipe.
+    """
+    state = _PARENT_STATE
+    if state is None:
+        raise RuntimeError("worker has no inherited parent state")
+    results = _discover_plans(state, plans, attempts, in_worker=True)
+    data = pickle.dumps(results, protocol=pickle.HIGHEST_PROTOCOL)
+    return publish_result_bytes(
+        state.transport, state.scratch_dir, reserved, data
+    )
+
+
+def _discover_plans(
+    state: _ParentState,
+    plans: Sequence[Payload],
     attempts: Sequence[int],
-    reserved: str | None = None,
-    in_worker: bool = True,
-) -> list[ShardResult] | SlabRef:
-    """Worker: materialize, columnize and discover a chunk of shards.
+    in_worker: bool,
+) -> list[ShardResult]:
+    """Materialize, columnize and discover a chunk of shards.
 
     A chunk of *consecutive* shard indices shares one engine, so the
     cross-batch embedder reuse of the sequential engine still applies
     within the chunk (reuse never changes output, only cost); for stream
     plans the consecutive order also keeps the seeded replay cursor
-    ascending, so a chunk costs one stream pass in total.
+    ascending, so a chunk costs one stream pass in total.  Pool workers
+    reach this through :func:`_discover_plan_chunk`; the driver calls it
+    directly for the in-process fallback.
     """
-    state = _PARENT_STATE
-    if state is None:
-        raise RuntimeError("worker has no inherited parent state")
     source, config = state.source, state.config
     injector = _worker_injector(config)
     engine = IncrementalDiscovery(config, name="shard")
@@ -478,84 +431,7 @@ def _discover_plan_chunk(
                 track_values=config.infer_value_profiles,
             )
         results.append(shard)
-    return _ship_results(results, reserved)
-
-
-def _columns_from_handle(
-    handle: ColumnsHandle, slab: Slab
-) -> tuple[NodeColumns, EdgeColumns]:
-    """Rebuild byte-identical columns from read-only slab views."""
-    node_labels = label_space_from_sets(handle.node_label_sets)
-    node_keys = key_space_from_orders(handle.node_key_orders)
-    edge_labels = label_space_from_sets(handle.edge_label_sets)
-    edge_keys = key_space_from_orders(handle.edge_key_orders)
-    ncols = NodeColumns(
-        ids=slab.array(handle.node_ids),
-        label_ids=slab.array(handle.node_label_ids),
-        keyset_ids=slab.array(handle.node_keyset_ids),
-        labels=node_labels,
-        keys=node_keys,
-    )
-    ecols = EdgeColumns(
-        ids=slab.array(handle.edge_ids),
-        source=slab.array(handle.edge_source),
-        target=slab.array(handle.edge_target),
-        label_ids=slab.array(handle.edge_label_ids),
-        src_label_ids=slab.array(handle.edge_src_label_ids),
-        tgt_label_ids=slab.array(handle.edge_tgt_label_ids),
-        keyset_ids=slab.array(handle.edge_keyset_ids),
-        labels=edge_labels,
-        keys=edge_keys,
-    )
-    return ncols, ecols
-
-
-def _discover_columns_chunk(
-    payloads: Sequence[ColumnsHandle | tuple[int, NodeColumns, EdgeColumns]],
-    attempts: Sequence[int],
-    reserved: str | None = None,
-    in_worker: bool = True,
-) -> list[ShardResult] | SlabRef:
-    """Worker: discover a chunk of pre-columnized shards.
-
-    Under a zero-copy transport the payloads are :class:`ColumnsHandle`
-    offsets into one shared slab; the worker attaches the slab once per
-    chunk, reads the arrays as zero-copy views and detaches when done.
-    """
-    state = _PARENT_STATE
-    if state is None:
-        raise RuntimeError("worker has no inherited parent state")
-    config = state.config
-    injector = _worker_injector(config)
-    engine = IncrementalDiscovery(config, name="shard")
-    results: list[ShardResult] = []
-    slabs: dict[str, Slab] = {}
-    try:
-        for payload, attempt in zip(payloads, attempts):
-            index = _payload_index(payload)
-            if injector is not None:
-                injector.fire("shard", index, attempt, in_worker=in_worker)
-            if isinstance(payload, ColumnsHandle):
-                slab = slabs.get(payload.slab.name)
-                if slab is None:
-                    slab = attach_slab(
-                        payload.slab, injector, index, attempt,
-                        in_worker=in_worker,
-                    )
-                    slabs[payload.slab.name] = slab
-                ncols, ecols = _columns_from_handle(payload, slab)
-            else:
-                _, ncols, ecols = payload
-            _check_memory(config, in_worker, "attach", index)
-            results.append(_discover_one(engine, index, ncols, ecols))
-            _check_memory(config, in_worker, "discovery", index)
-        return _ship_results(results, reserved)
-    finally:
-        # The last iteration's column views still alias the slab buffer;
-        # drop them so close() can release the mapping cleanly.
-        ncols = ecols = None  # type: ignore[assignment]
-        for name in sorted(slabs):
-            slabs[name].close()
+    return results
 
 
 def _discover_one(
@@ -582,13 +458,6 @@ def _bucket_edges_task(start: int, stop: int) -> list[numpy.ndarray]:
     return store.bucket_edge_range(
         start, stop, sorted_ids, shard_of_sorted, num_shards
     )
-
-
-def _payload_index(payload: Payload) -> int:
-    """Global shard index of a task payload."""
-    if isinstance(payload, (ShardPlan, StreamShardPlan, ColumnsHandle)):
-        return payload.index
-    return payload[0]
 
 
 def _terminate_pool(pool: ProcessPoolExecutor) -> None:
@@ -694,17 +563,16 @@ class ParallelDiscovery:
     """Multi-process batch discovery with retry, respawn, and fallback.
 
     Drives ``config.jobs`` worker processes over the shards of a store
-    (plan mode), a seeded stream (stream mode) or an already-batched
-    iterable (columns mode), then combines the per-shard schemas with
-    :func:`combine_shard_results`.  In plan and stream mode the workers
+    (plan mode) or a seeded stream (stream mode), then combines the
+    per-shard schemas with :func:`combine_shard_results`.  The workers
     also fold the post-processing statistics (datatype joins,
     value-profile partials, per-node degree maps) into
     :class:`~repro.core.postprocess.TypeStats` riding on the shard
     types; :class:`repro.core.pipeline.PGHive` consumes the merged stats
     with :func:`~repro.core.postprocess.apply_partial_stats` -- or falls
-    back to the serial store-backed passes (columns mode, sampling
-    mode).  See the module docstring for the failure model, the shard
-    transport, and the two-phase memoization protocol.
+    back to the serial store-backed passes (sampling mode).  See the
+    module docstring for the failure model, the shard transport, and the
+    two-phase memoization protocol.
     """
 
     def __init__(self, config: PGHiveConfig | None = None) -> None:
@@ -749,14 +617,26 @@ class ParallelDiscovery:
         journal.reset()
         return journal, {}
 
-    def _make_registry(self, transport: str) -> SegmentRegistry | None:
-        if transport == "pickle":
-            return None
-        return SegmentRegistry(
-            transport,
+    @contextmanager
+    def _pool_state(
+        self, source: BaseGraphStore | GraphStream
+    ) -> Iterator[tuple[_ParentState, SegmentRegistry]]:
+        """The fork-inherited worker state plus the run's segment registry.
+
+        The registry sweeps every result segment when the run ends, on
+        success and on every failure path.
+        """
+        registry = SegmentRegistry(
+            resolve_transport(),
             self.config.checkpoint_dir,
             _worker_injector(self.config),
         )
+        try:
+            yield _ParentState(
+                source, self.config, registry.transport, registry.directory
+            ), registry
+        finally:
+            registry.close()
 
     def discover_store(
         self, store: BaseGraphStore, num_batches: int, resume: bool = False
@@ -780,7 +660,6 @@ class ParallelDiscovery:
         """
         started = time.perf_counter()
         config = self.config
-        transport = resolve_transport(config.shard_transport)
         journal, preloaded = self._prepare_journal(
             self._journal_context(
                 store.name, num_batches, config.seed,
@@ -801,27 +680,14 @@ class ParallelDiscovery:
         partition_seconds = time.perf_counter() - partition_started
         plans = store.plan_shards(num_batches, seed=config.seed)
         todo = [plan for plan in plans if plan.index not in preloaded]
-        registry = self._make_registry(transport)
-        try:
-            state = _ParentState(
-                store,
-                config,
-                None,
-                transport,
-                registry.directory if registry is not None else None,
-            )
+        with self._pool_state(store) as (state, registry):
             shard_results, failures = self._run_phases(
                 plans, todo, preloaded, state, journal, registry
             )
-        finally:
-            if registry is not None:
-                registry.close()
         all_results = [preloaded[index] for index in sorted(preloaded)]
         all_results += shard_results
         extra = {
-            "parallel/transport": (
-                f"requested={config.shard_transport} used={transport}"
-            ),
+            "parallel/transport": f"used={state.transport}",
             "parallel/partition": (
                 f"mode={partition_mode} seconds={partition_seconds:.6f}"
             ),
@@ -850,7 +716,6 @@ class ParallelDiscovery:
         """
         started = time.perf_counter()
         config = self.config
-        transport = resolve_transport(config.shard_transport)
         journal, preloaded = self._prepare_journal(
             self._journal_context(
                 stream.graph.name, stream.num_batches, stream.seed
@@ -861,129 +726,18 @@ class ParallelDiscovery:
         todo = [plan for plan in plans if plan.index not in preloaded]
         chunk = config.chunk_size(stream.num_batches)
         chunks = [todo[i : i + chunk] for i in range(0, len(todo), chunk)]
-        registry = self._make_registry(transport)
-        try:
-            state = _ParentState(
-                stream,
-                config,
-                None,
-                transport,
-                registry.directory if registry is not None else None,
-            )
+        with self._pool_state(stream) as (state, registry):
             shard_results, failures = self._run_pool(
-                _discover_plan_chunk, chunks, state, journal, registry
+                chunks, state, registry, journal
             )
-        finally:
-            if registry is not None:
-                registry.close()
         all_results = [preloaded[index] for index in sorted(preloaded)]
         all_results += shard_results
-        extra = {
-            "parallel/transport": (
-                f"requested={config.shard_transport} used={transport}"
-            ),
-        }
+        extra = {"parallel/transport": f"used={state.transport}"}
         result = self._combine(
             stream.graph.name, all_results, failures, started, extra
         )
         self._note_resume(result, journal, preloaded)
         return result
-
-    def discover_batches(
-        self,
-        batches: Iterable[GraphBatch],
-        name: str = "stream",
-        total: int | None = None,
-    ) -> DiscoveryResult:
-        """Discover pre-batched data from an arbitrary iterable.
-
-        The parent consumes the iterable -- stateful sources must be
-        generated in order -- columnizing each batch once.  Under a
-        zero-copy transport the column arrays are packed into one shared
-        slab and workers receive only :class:`ColumnsHandle` offsets;
-        under ``pickle`` the arrays ship through the pipe as before.
-        Because the parent keeps every payload for the duration of the
-        run, lost or timed-out shards can be re-shipped without
-        re-reading the source.
-        """
-        started = time.perf_counter()
-        config = self.config
-        transport = resolve_transport(config.shard_transport)
-        columnized: list[tuple[int, NodeColumns, EdgeColumns]] = []
-        for index, batch in enumerate(batches):
-            columnized.append(
-                (
-                    index,
-                    node_columns(batch.nodes),
-                    edge_columns(batch.edges, batch.endpoint_labels),
-                )
-            )
-        chunk = config.chunk_size(
-            total if total is not None else len(columnized)
-        )
-        registry = self._make_registry(transport)
-        try:
-            payloads: list[Payload]
-            if registry is not None and columnized:
-                payloads = self._handles_for_columns(columnized, registry)
-            else:
-                payloads = list(columnized)
-            chunks = [
-                payloads[i : i + chunk]
-                for i in range(0, len(payloads), chunk)
-            ]
-            state = _ParentState(
-                None,
-                config,
-                None,
-                transport,
-                registry.directory if registry is not None else None,
-            )
-            shard_results, failures = self._run_pool(
-                _discover_columns_chunk, chunks, state, registry=registry
-            )
-        finally:
-            if registry is not None:
-                registry.close()
-        extra = {
-            "parallel/transport": (
-                f"requested={config.shard_transport} used={transport}"
-            ),
-        }
-        return self._combine(name, shard_results, failures, started, extra)
-
-    @staticmethod
-    def _handles_for_columns(
-        columnized: Sequence[tuple[int, NodeColumns, EdgeColumns]],
-        registry: SegmentRegistry,
-    ) -> list[Payload]:
-        """Pack every batch's arrays into one slab of handles."""
-        arrays: list[numpy.ndarray] = []
-        for _index, ncols, ecols in columnized:
-            arrays.extend(
-                (
-                    ncols.ids, ncols.label_ids, ncols.keyset_ids,
-                    ecols.ids, ecols.source, ecols.target, ecols.label_ids,
-                    ecols.src_label_ids, ecols.tgt_label_ids,
-                    ecols.keyset_ids,
-                )
-            )
-        slab, refs = registry.publish_arrays(arrays)
-        payloads: list[Payload] = []
-        for position, (index, ncols, ecols) in enumerate(columnized):
-            r = refs[position * 10 : (position + 1) * 10]
-            payloads.append(
-                ColumnsHandle(
-                    index, slab,
-                    r[0], r[1], r[2], r[3], r[4], r[5], r[6], r[7], r[8],
-                    r[9],
-                    node_label_sets=tuple(ncols.labels.sets),
-                    node_key_orders=tuple(ncols.keys.orders),
-                    edge_label_sets=tuple(ecols.labels.sets),
-                    edge_key_orders=tuple(ecols.keys.orders),
-                )
-            )
-        return payloads
 
     @staticmethod
     def _note_resume(
@@ -1076,7 +830,7 @@ class ParallelDiscovery:
         preloaded: dict[int, ShardResult],
         state: _ParentState,
         journal: "_ShardJournal | None",
-        registry: SegmentRegistry | None,
+        registry: SegmentRegistry,
     ) -> tuple[list[ShardResult], list[ShardFailure]]:
         """Run the pool, optionally with the two-phase absorption snapshot.
 
@@ -1092,9 +846,7 @@ class ParallelDiscovery:
         chunk = config.chunk_size(len(plans))
         if not config.memoize_patterns:
             chunks = [todo[i : i + chunk] for i in range(0, len(todo), chunk)]
-            return self._run_pool(
-                _discover_plan_chunk, chunks, state, journal, registry
-            )
+            return self._run_pool(chunks, state, registry, journal)
         seed_index = min(plan.index for plan in plans)
         results: list[ShardResult] = []
         failures: list[ShardFailure] = []
@@ -1106,7 +858,7 @@ class ParallelDiscovery:
                 plan for plan in todo if plan.index == seed_index
             )
             seed_results, seed_failures = self._run_pool(
-                _discover_plan_chunk, [[seed_plan]], state, journal, registry
+                [[seed_plan]], state, registry, journal
             )
             results += seed_results
             failures += seed_failures
@@ -1116,7 +868,7 @@ class ParallelDiscovery:
         chunks = [rest[i : i + chunk] for i in range(0, len(rest), chunk)]
         state.snapshot = snapshot
         rest_results, rest_failures = self._run_pool(
-            _discover_plan_chunk, chunks, state, journal, registry
+            chunks, state, registry, journal
         )
         return results + rest_results, failures + rest_failures
 
@@ -1125,11 +877,10 @@ class ParallelDiscovery:
     # ------------------------------------------------------------------
     def _run_pool(
         self,
-        worker: Callable[..., "list[ShardResult] | SlabRef"],
         chunks: Sequence[list[Payload]],
         state: _ParentState,
+        registry: SegmentRegistry,
         journal: "_ShardJournal | None" = None,
-        registry: SegmentRegistry | None = None,
     ) -> tuple[list[ShardResult], list[ShardFailure]]:
         """Run the pool to completion, recovering from task failures.
 
@@ -1140,10 +891,10 @@ class ParallelDiscovery:
         failed single shard is retried with backoff until its attempt
         budget runs out, then handed to the in-process fallback.
 
-        With a registry, every submit reserves a result segment name;
-        the name is released on any path that abandons the task (error,
-        dead worker, timeout), so crashed workers -- even ones SIGKILLed
-        mid-publish -- cannot leak segments past the run's final sweep.
+        Every submit reserves a result segment name; the name is released
+        on any path that abandons the task (error, dead worker, timeout),
+        so crashed workers -- even ones SIGKILLed mid-publish -- cannot
+        leak segments past the run's final sweep.
         """
         if not chunks:
             return [], []
@@ -1161,12 +912,9 @@ class ParallelDiscovery:
         )
         pool = ProcessPoolExecutor(max_workers=workers, mp_context=context)
         running: dict[
-            object, tuple[list[Payload], list[int], float, str | None]
+            object, tuple[list[Payload], list[int], float, str]
         ] = {}
-
-        def release(reserved: str | None) -> None:
-            if registry is not None and reserved is not None:
-                registry.release(reserved)
+        release = registry.release
 
         def collect(shards: list[ShardResult], attempts: list[int]) -> None:
             for shard, attempt in zip(shards, attempts):
@@ -1187,8 +935,7 @@ class ParallelDiscovery:
                     pending.append(([payload], [attempt]))
                 return
             payload, attempt = payloads[0], attempts[0]
-            index = _payload_index(payload)
-            failures.append(ShardFailure(index, attempt, kind, error))
+            failures.append(ShardFailure(payload.index, attempt, kind, error))
             if attempt + 1 <= config.shard_retries:
                 if config.shard_retry_backoff:
                     time.sleep(config.shard_retry_backoff * (attempt + 1))
@@ -1218,20 +965,17 @@ class ParallelDiscovery:
                     pending.append(([payload], [attempt]))
                 return
             failures.append(ShardFailure(
-                _payload_index(payloads[0]), attempts[0], "corruption",
-                str(exc),
+                payloads[0].index, attempts[0], "corruption", str(exc)
             ))
 
         try:
             while pending or running:
                 while pending and len(running) < workers:
                     payloads, attempts = pending.popleft()
-                    reserved = (
-                        registry.reserve() if registry is not None else None
-                    )
+                    reserved = registry.reserve()
                     try:
                         future = pool.submit(
-                            worker, payloads, attempts, reserved
+                            _discover_plan_chunk, payloads, attempts, reserved
                         )
                     except BrokenProcessPool:
                         # The pool broke between iterations.  Put the
@@ -1260,18 +1004,11 @@ class ParallelDiscovery:
                         running.pop(future)
                     )
                     try:
-                        value = future.result()  # type: ignore[attr-defined]
-                        if isinstance(value, SlabRef):
-                            if registry is None:
-                                raise RuntimeError(
-                                    "worker returned a slab ref without a "
-                                    "registry"
-                                )
-                            raw = registry.consume_bytes(
-                                value, index=_payload_index(payloads[0])
-                            )
-                            value = pickle.loads(raw)
-                        collect(value, attempts)
+                        ref = future.result()  # type: ignore[attr-defined]
+                        raw = registry.consume_bytes(
+                            ref, index=payloads[0].index
+                        )
+                        collect(pickle.loads(raw), attempts)
                     except BrokenProcessPool:
                         release(reserved)
                         broken = True
@@ -1340,12 +1077,12 @@ class ParallelDiscovery:
             # where a crashing worker environment cannot take them down
             # (and where the RSS guard is deliberately unarmed).
             for payload, attempt in sorted(
-                fallback, key=lambda item: _payload_index(item[0])
+                fallback, key=lambda item: item[0].index
             ):
-                index = _payload_index(payload)
+                index = payload.index
                 try:
-                    shards = worker(
-                        [payload], [attempt], None, in_worker=False
+                    shards = _discover_plans(
+                        state, [payload], [attempt], in_worker=False
                     )
                 except Exception as exc:
                     failures.append(ShardFailure(
@@ -1353,10 +1090,6 @@ class ParallelDiscovery:
                         f"{type(exc).__name__}: {exc}",
                     ))
                     continue
-                if isinstance(shards, SlabRef):  # pragma: no cover
-                    raise RuntimeError(
-                        "in-process fallback must not publish segments"
-                    )
                 for shard in shards:
                     shard.report.attempts = attempt + 1
                     results[shard.index] = shard

@@ -1,46 +1,41 @@
-"""Zero-copy shard transport: shared-memory and memmap column slabs.
+"""Shard transport: pool results return through named shared segments.
 
-The parallel driver's original payload contract pickled everything that
-crossed the process-pool pipe: column arrays travelling to the workers
-and per-shard schemas travelling back.  Pickling numpy arrays copies
-them twice (serialize + deserialize), and the pipe itself is a byte
-stream -- at LDBC scale 32 a run moved ~2.7 MB through it.  This module
-replaces the pipe with *named shared segments*:
+Pickling per-shard schemas back through the process-pool pipe pushes
+every byte through a byte stream -- at LDBC scale 32 a run moved
+~2.7 MB through it.  This module replaces the pipe with *named shared
+segments*: the driver *reserves* a segment name per task, the worker
+creates the segment and writes its pickled results into it, and only a
+tiny :class:`SlabRef` (name, size) crosses the pipe back.
 
-* the driver writes arrays (or pickled result bytes) into a segment --
-  a POSIX shared-memory object (``transport="shm"``) or a plain file
-  under a scratch directory (``transport="memmap"``) -- and ships only a
-  tiny :class:`SlabRef` (name, size) plus :class:`ArrayRef` offsets;
-* workers *attach* to the segment and build read-only
-  ``numpy.frombuffer`` views at the given offsets -- no copy, no
-  unpickling;
-* workers ship results the same way in reverse: the driver *reserves* a
-  segment name per task, the worker creates the segment and writes its
-  pickled results into it, and only the name crosses the pipe back.
+A segment is a POSIX shared-memory object (``"shm"``) or, on hosts
+without working shared memory, a plain file under a scratch directory
+(``"memmap"``).  :func:`resolve_transport` picks between the two from
+what the host can do; nothing else chooses.  The same :class:`Slab`
+reader also maps the disk store's partition files (``"file"`` refs) and
+hands out read-only ``numpy.frombuffer`` views at :class:`ArrayRef`
+offsets -- no copy, no unpickling.
 
 Cleanup protocol
 ----------------
 Segment lifetime is owned entirely by the driver through a
-:class:`SegmentRegistry` context manager.  Every name -- driver-created
-or merely reserved for a worker -- is tracked from the moment it exists;
-a segment is untracked only once it has been successfully unlinked.  On
-any exit path (success, task failure, ``BrokenProcessPool`` respawn,
-SIGKILL of a hung pool, an exception in the driver itself) the
-registry's ``close()`` sweeps every still-tracked name, ignoring the
-ones a crashed worker never got to create.  The shared-memory
+:class:`SegmentRegistry` context manager.  Every name is tracked from
+the moment the driver reserves it for a worker; a segment is untracked
+only once it has been successfully unlinked.  On any exit path
+(success, task failure, ``BrokenProcessPool`` respawn, SIGKILL of a hung
+pool, an exception in the driver itself) the registry's ``close()``
+sweeps every still-tracked name, ignoring the ones a crashed worker
+never got to create.  The shared-memory
 ``resource_tracker`` cooperates: parent and forked workers share one
 tracker process, its registry has set semantics, and a single unlink
 unregisters a name no matter how many processes attached to it, so the
 driver-side sweep leaves nothing for the tracker to warn about.
 
-Fault sites
------------
-``attach`` fires in the worker before attaching to a payload segment
-(a transient attach failure flows through the ordinary shard retry
-machinery); ``unlink`` fires in the driver before consuming a result
-segment (the result is lost, the shard re-runs, and the final sweep
-still reclaims the segment).  Both are exercised by
-``tests/test_recovery.py`` under the leak-check fixture.
+Fault site
+----------
+``unlink`` fires in the driver before consuming a result segment (the
+result is lost, the shard re-runs, and the final sweep still reclaims
+the segment).  ``tests/test_recovery.py`` exercises it under the
+leak-check fixture.
 """
 
 from __future__ import annotations
@@ -51,7 +46,6 @@ import shutil
 import tempfile
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Sequence
 
 import numpy
 
@@ -62,22 +56,14 @@ __all__ = [
     "SegmentRegistry",
     "Slab",
     "SlabRef",
-    "TRANSPORTS",
-    "attach_slab",
     "publish_result_bytes",
     "resolve_transport",
     "shm_available",
 ]
 
-#: The recognized shard transports, in decreasing order of ambition.
-TRANSPORTS = ("pickle", "shm", "memmap")
-
 #: Name prefix of every segment (and memmap scratch directory) this
 #: module creates; the test suite's leak fixture greps for it.
 SEGMENT_PREFIX = "pghive"
-
-#: Per-array alignment inside a slab, generous enough for any dtype.
-_ALIGN = 16
 
 
 def shm_available() -> bool:
@@ -95,21 +81,13 @@ def shm_available() -> bool:
     return True
 
 
-def resolve_transport(requested: str) -> str:
-    """Resolve a configured transport to one that works on this host.
+def resolve_transport() -> str:
+    """The segment kind this host supports: ``shm``, else ``memmap``.
 
-    ``shm`` silently degrades to ``memmap`` when shared memory is
-    unavailable (files always work); ``pickle`` and ``memmap`` resolve
-    to themselves.  An unknown name raises -- config validation should
-    have caught it earlier.
+    Shared memory is preferred; hosts without a usable ``/dev/shm`` fall
+    back to memmap files, which always work.
     """
-    if requested not in TRANSPORTS:
-        raise ValueError(
-            f"shard_transport must be one of {TRANSPORTS}, got {requested!r}"
-        )
-    if requested == "shm" and not shm_available():
-        return "memmap"
-    return requested
+    return "shm" if shm_available() else "memmap"
 
 
 @dataclass(frozen=True)
@@ -117,8 +95,7 @@ class SlabRef:
     """Pipe-sized handle to one shared segment.
 
     Attributes:
-        transport: ``"shm"``, ``"memmap"`` or ``"file"`` (pickle
-            payloads never carry a ref).
+        transport: ``"shm"``, ``"memmap"`` or ``"file"``.
         name: Segment name (shm) or file name inside ``directory``.
         size: Logical payload size in bytes (shm rounds segments up to a
             page, so readers slice to this).
@@ -222,19 +199,6 @@ class Slab:
             self._mmap = None
 
 
-def attach_slab(
-    ref: SlabRef,
-    injector: FaultInjector | None = None,
-    index: int = 0,
-    attempt: int | None = None,
-    in_worker: bool = True,
-) -> Slab:
-    """Worker-side attach with the ``attach`` fault-injection site."""
-    if injector is not None:
-        injector.fire("attach", index, attempt, in_worker=in_worker)
-    return Slab(ref)
-
-
 def publish_result_bytes(
     transport: str, directory: str | None, name: str, data: bytes
 ) -> SlabRef:
@@ -294,63 +258,13 @@ class SegmentRegistry:
                 prefix=f"{SEGMENT_PREFIX}-mm-", dir=root
             )
 
-    # ------------------------------------------------------------------
-    # Names
-    # ------------------------------------------------------------------
-    def _next_name(self) -> str:
-        self._counter += 1
-        return f"{SEGMENT_PREFIX}_{os.getpid()}_{self._counter}"
-
     def reserve(self) -> str:
         """Reserve (and track) a name for a worker-created segment."""
-        name = self._next_name()
+        self._counter += 1
+        name = f"{SEGMENT_PREFIX}_{os.getpid()}_{self._counter}"
         self._tracked.add(name)
         return name
 
-    # ------------------------------------------------------------------
-    # Driver-side writes
-    # ------------------------------------------------------------------
-    def publish_bytes(self, data: bytes) -> SlabRef:
-        """Create a segment holding ``data``; returns its ref."""
-        name = self._next_name()
-        self._tracked.add(name)
-        if self.transport == "shm":
-            segment = shared_memory.SharedMemory(
-                create=True, name=name, size=max(len(data), 1)
-            )
-            segment.buf[: len(data)] = data
-            segment.close()
-        else:
-            if self.directory is None:
-                raise RuntimeError("memmap registry lost its directory")
-            with open(os.path.join(self.directory, name), "wb") as handle:
-                handle.write(data)
-        return SlabRef(self.transport, name, len(data), self.directory)
-
-    def publish_arrays(
-        self, arrays: Sequence[numpy.ndarray]
-    ) -> tuple[SlabRef, list[ArrayRef]]:
-        """Pack arrays into one slab; returns (slab ref, array refs)."""
-        refs: list[ArrayRef] = []
-        offset = 0
-        chunks: list[bytes] = []
-        for array in arrays:
-            contiguous = numpy.ascontiguousarray(array)
-            refs.append(
-                ArrayRef(offset, int(contiguous.size), contiguous.dtype.str)
-            )
-            raw = contiguous.tobytes()
-            padded = -len(raw) % _ALIGN
-            chunks.append(raw)
-            if padded:
-                chunks.append(b"\x00" * padded)
-            offset += len(raw) + padded
-        slab = self.publish_bytes(b"".join(chunks))
-        return slab, refs
-
-    # ------------------------------------------------------------------
-    # Driver-side reads and cleanup
-    # ------------------------------------------------------------------
     def consume_bytes(self, ref: SlabRef, index: int = 0) -> bytes:
         """Read a worker-created segment, then unlink it.
 

@@ -12,21 +12,21 @@ module closes that loop.  Validation runs in two modes mirroring PG-Schema:
 The validator returns a structured report rather than raising, because
 noisy real datasets are expected to violate STRICT schemas (section 4.5).
 
-Two engines produce identical reports:
-
-* :func:`validate_graph` / :func:`validate_elements` -- the per-element
-  reference loop, retained as the semantics oracle;
-* :func:`validate_columns` (and its columnizing wrapper
-  :func:`validate_batch`) -- the bulk admission checker behind the
-  service's validate endpoint.  Candidate-type matching is computed once
-  per distinct (label set, key set[, endpoint labels]) pattern over
-  :class:`~repro.core.columns.NodeColumns` /
-  :class:`~repro.core.columns.EdgeColumns`, so a batch of N rows costs
-  O(distinct patterns) for coverage, candidate ranking, mandatory and
-  endpoint checks; only rows whose candidate types declare checkable
-  datatypes for the pattern's keys are touched individually (value
-  compatibility is inherently per-value).  ``tests/test_validate_columns.py``
-  property-tests the two engines byte-identical.
+One engine checks every input: :func:`validate_columns`, reached through
+its columnizing wrappers :func:`validate_batch` (explicit element lists:
+the CLI and the service's validate endpoint) and :func:`validate_graph`.
+Candidate-type matching is computed once per distinct (label set, key
+set[, endpoint labels]) pattern over
+:class:`~repro.core.columns.NodeColumns` /
+:class:`~repro.core.columns.EdgeColumns`, so a batch of N rows costs
+O(distinct patterns) for coverage, candidate ranking, mandatory and
+endpoint checks; only rows whose candidate types declare checkable
+datatypes for the pattern's keys are touched individually (value
+compatibility is inherently per-value).  The per-element reference loop
+lives in ``tests/oracles/reference.py`` as the semantics oracle;
+``tests/test_validate_columns.py`` property-tests the engine
+byte-identical to it, using the violation constructors below that both
+share.
 """
 
 from __future__ import annotations
@@ -133,130 +133,9 @@ def validate_graph(
     mode: ValidationMode = ValidationMode.STRICT,
 ) -> ValidationReport:
     """Check every node and edge of ``graph`` against ``schema``."""
-    nodes = list(graph.nodes())
-    return validate_elements(
-        nodes,
-        list(graph.edges()),
-        schema,
-        mode,
-        endpoint_labels={node.id: node.labels for node in nodes},
+    return validate_batch(
+        list(graph.nodes()), list(graph.edges()), schema, mode
     )
-
-
-def validate_elements(
-    nodes: Sequence[Node],
-    edges: Sequence[Edge],
-    schema: SchemaGraph,
-    mode: ValidationMode = ValidationMode.STRICT,
-    endpoint_labels: Mapping[int, frozenset[str]] | None = None,
-) -> ValidationReport:
-    """Per-element reference validation of a batch of elements.
-
-    Args:
-        nodes: Batch nodes.
-        edges: Batch edges (endpoints may live outside the batch).
-        schema: The schema to conform to.
-        mode: PG-Schema strictness.
-        endpoint_labels: node id -> label set for edge endpoints; defaults
-            to the labels of the batch's own nodes.  Unknown endpoints
-            validate as unlabeled (endpoint checks are skipped for them,
-            matching how an absent label set behaves in the paper's LOOSE
-            reading).
-    """
-    if endpoint_labels is None:
-        endpoint_labels = {node.id: node.labels for node in nodes}
-    empty: frozenset[str] = frozenset()
-    report = ValidationReport(mode=mode)
-    for node in nodes:
-        report.checked += 1
-        _validate_node(node, schema, mode, report)
-    for edge in edges:
-        report.checked += 1
-        _validate_edge(
-            edge,
-            endpoint_labels.get(edge.source, empty),
-            endpoint_labels.get(edge.target, empty),
-            schema,
-            mode,
-            report,
-        )
-    return report
-
-
-def _validate_node(
-    node: Node,
-    schema: SchemaGraph,
-    mode: ValidationMode,
-    report: ValidationReport,
-) -> None:
-    """An element conforms when *some* covering type accepts it.
-
-    When every covering type rejects the node, the violations of the
-    least-violating candidate are reported (the most informative failure).
-    """
-    candidates = _covering_node_types_for(
-        node.labels, node.property_keys, schema
-    )
-    if not candidates:
-        report.violations.append(
-            _no_type_violation("node", node.id, node.labels,
-                               node.property_keys)
-        )
-        return
-    if mode is not ValidationMode.STRICT:
-        return
-    best_failures: list[Violation] | None = None
-    for node_type in candidates:
-        failures: list[Violation] = []
-        _check_mandatory(
-            node.property_keys, node_type, "node", node.id, failures
-        )
-        _check_datatypes(
-            node.properties, node_type, "node", node.id, failures
-        )
-        if not failures:
-            return
-        if best_failures is None or len(failures) < len(best_failures):
-            best_failures = failures
-    report.violations.extend(best_failures or [])
-
-
-def _validate_edge(
-    edge: Edge,
-    source_labels: frozenset[str],
-    target_labels: frozenset[str],
-    schema: SchemaGraph,
-    mode: ValidationMode,
-    report: ValidationReport,
-) -> None:
-    """Find a covering edge type accepting the edge, or report failures."""
-    candidates = _covering_edge_types_for(
-        edge.labels, edge.property_keys, schema
-    )
-    if not candidates:
-        report.violations.append(
-            _no_type_violation("edge", edge.id, edge.labels, None)
-        )
-        return
-    if mode is not ValidationMode.STRICT:
-        return
-    best_failures: list[Violation] | None = None
-    for edge_type in candidates:
-        failures = []
-        _check_mandatory(
-            edge.property_keys, edge_type, "edge", edge.id, failures
-        )
-        _check_datatypes(
-            edge.properties, edge_type, "edge", edge.id, failures
-        )
-        _check_endpoints(
-            edge.id, edge_type, source_labels, target_labels, failures
-        )
-        if not failures:
-            return
-        if best_failures is None or len(failures) < len(best_failures):
-            best_failures = failures
-    report.violations.extend(best_failures or [])
 
 
 def _no_type_violation(
@@ -443,9 +322,8 @@ def validate_batch(
 ) -> ValidationReport:
     """Columnize a batch and run the bulk admission checker.
 
-    Result-identical to :func:`validate_elements` on the same inputs
-    (property-tested); the convenience entry point of the service's
-    validate endpoint and the ``pghive validate`` CLI.
+    The convenience entry point of the service's validate endpoint and
+    the ``pghive validate`` CLI.
     """
     if endpoint_labels is None:
         endpoint_labels = {node.id: node.labels for node in nodes}
@@ -479,8 +357,11 @@ def validate_columns(
     datatype check (their key sets still drive coverage/mandatory), so
     callers that columnized away the values can still screen traffic.
 
-    Returns a report byte-identical to the per-element reference over
-    the same elements: same violations, in the same order.
+    An element conforms when *some* covering type accepts it; when every
+    covering type rejects it, the violations of the least-violating
+    candidate are reported (the most informative failure).  The report
+    is byte-identical to checking the same elements one at a time: same
+    violations, in the same order.
     """
     report = ValidationReport(mode=mode)
     report.checked = len(ncols) + len(ecols)

@@ -68,15 +68,40 @@ def test_jobs() -> int:
     return int(os.environ.get("PGHIVE_TEST_JOBS", "2"))
 
 
-@pytest.fixture
-def test_transport() -> str:
-    """Shard transport for the dedicated parallel-discovery tests.
+@pytest.fixture(autouse=True)
+def test_transport(monkeypatch) -> str:
+    """Segment kind the parallel driver uses in this test.
 
-    CI's fault-injection leg re-runs the parallel suite with
-    ``PGHIVE_TEST_TRANSPORT=shm`` so segment lifecycle bugs surface
-    under the same crash scenarios as the pickle path.
+    CI's fault-injection leg re-runs the transport, parallel and
+    recovery suites with ``PGHIVE_TEST_TRANSPORT=memmap``, which
+    patches :func:`repro.core.transport.shm_available` to report no
+    shared memory: the crash scenarios and the leak fixture then cover
+    the memmap fallback that hosts without ``/dev/shm`` run.
     """
-    return os.environ.get("PGHIVE_TEST_TRANSPORT", "shm")
+    from repro.core import transport
+
+    if os.environ.get("PGHIVE_TEST_TRANSPORT") == "memmap":
+        monkeypatch.setattr(transport, "shm_available", lambda: False)
+    return transport.resolve_transport()
+
+
+@pytest.fixture
+def pin_transport(monkeypatch):
+    """Pin the pool's segment kind for one test.
+
+    ``pin_transport("memmap")`` hides shared memory the way a host
+    without ``/dev/shm`` does; ``pin_transport("shm")`` skips the test
+    when shared memory is not available.
+    """
+    from repro.core import transport
+
+    def pin(kind: str) -> None:
+        if kind == "memmap":
+            monkeypatch.setattr(transport, "shm_available", lambda: False)
+        elif transport.resolve_transport() != kind:
+            pytest.skip("host has no usable /dev/shm")
+
+    return pin
 
 
 def _segment_litter() -> set[str]:

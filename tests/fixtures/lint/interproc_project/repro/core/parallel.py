@@ -46,12 +46,6 @@ def _walk(depth: int) -> int:
     return _walk(depth - 1)
 
 
-def _discover_plan_chunk(payload: Any) -> int:
-    """Worker root: reaches an env read through recursion."""
-    del payload
-    return _walk(3)
-
-
 def _rng_kernel() -> float:
     return random.random()  # plant: unseeded RNG
 
@@ -62,13 +56,18 @@ class Kernel:
     impl = _rng_kernel
 
 
-def _discover_columns_chunk(payload: Any) -> float:
-    """Worker root: class-attribute dispatch plus a dynamic call."""
+def _dispatch(payload: Any) -> float:
+    """Class-attribute dispatch plus a dynamic call."""
     kernel = Kernel()
     value = kernel.impl()
     op = getattr(payload, payload.name)  # non-literal: unresolvable
     op()
     return value
+
+
+def _discover_plan_chunk(payload: Any) -> float:
+    """Worker root: an env read through recursion, then _dispatch."""
+    return _walk(3) + _dispatch(payload)
 
 
 def _record(key: str) -> None:

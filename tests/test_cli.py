@@ -4,7 +4,9 @@ import pytest
 
 from repro.cli import main
 from repro.datasets import get_dataset
-from repro.graph.io import save_graph_jsonl
+from repro.graph.io import load_graph_jsonl, save_graph_jsonl
+from repro.schema.persist import load_schema
+from tests.oracles.reference import validate_elements
 
 
 class TestCli:
@@ -329,6 +331,7 @@ class TestValidateCommand:
         capsys.readouterr()
 
     def test_engines_report_identically(self, tmp_path, capsys):
+        """The CLI's columnar report equals the per-element oracle's."""
         schema = self._saved_schema(tmp_path, capsys)
         graph = tmp_path / "g.jsonl"
         assert main([
@@ -338,11 +341,17 @@ class TestValidateCommand:
         capsys.readouterr()
         main(["validate", str(graph), str(schema), "--max-violations", "0"])
         columns_out = capsys.readouterr().out
-        main([
-            "validate", str(graph), str(schema),
-            "--max-violations", "0", "--engine", "reference",
-        ])
-        assert capsys.readouterr().out == columns_out
+        loaded = load_graph_jsonl(graph)
+        reference = validate_elements(
+            list(loaded.nodes()), list(loaded.edges()), load_schema(schema)
+        )
+        assert not reference.is_valid
+        assert (
+            f"({reference.checked} elements checked, "
+            f"{reference.violating_elements} violating, "
+            f"{reference.violation_count} violations, "
+            f"rate {reference.violation_rate:.3f})"
+        ) in columns_out
 
     def test_missing_schema_file_exits_1(self, capsys):
         assert main([

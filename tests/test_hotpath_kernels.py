@@ -2,9 +2,10 @@
 
 Every hot-path kernel (vectorization, MinHash feature sets and signatures,
 banding, label refinement, cluster summarization) has an element-at-a-time
-reference implementation; these properties assert byte-identical outputs
-on random graphs, and that the two engine modes (``kernels="vectorized"``
-vs ``kernels="reference"``) discover byte-identical schemas end to end.
+reference implementation in ``tests/oracles/reference.py``; these
+properties assert byte-identical outputs on random graphs, and that the
+production engine and the reference engine discover byte-identical
+schemas end to end.
 """
 
 from __future__ import annotations
@@ -15,28 +16,29 @@ from hypothesis import strategies as st
 
 from repro.core.columns import edge_columns, node_columns
 from repro.core.config import LSHMethod, PGHiveConfig
-from repro.core.incremental import (
-    IncrementalDiscovery,
-    _refine_by_label_ids,
-    _refine_by_labels,
-)
+from repro.core.incremental import IncrementalDiscovery, _refine_by_label_ids
 from repro.core.pipeline import PGHive
 from repro.core.type_extraction import (
-    build_edge_clusters,
     build_edge_clusters_from_columns,
-    build_node_clusters,
     build_node_clusters_from_columns,
 )
-from repro.core.vectorize import EdgeVectorizer, FeatureInterner, NodeVectorizer
+from repro.core.vectorize import FeatureInterner
 from repro.embeddings.embedder import LabelEmbedder
 from repro.graph.builder import GraphBuilder
 from repro.graph.model import Edge, Node
 from repro.graph.store import GraphStore
-from repro.lsh.buckets import (
-    cluster_by_band_union,
-    cluster_by_band_union_reference,
-)
+from repro.lsh.buckets import cluster_by_band_union
 from repro.schema import serialize_pg_schema
+from tests.oracles.reference import (
+    EdgeVectorizerReference,
+    NodeVectorizerReference,
+    ReferenceDiscovery,
+    _refine_by_labels,
+    build_edge_clusters,
+    build_node_clusters,
+    cluster_by_band_union_reference,
+    discover_reference,
+)
 
 _LABELS = ["Person", "Org", "Post", ""]
 _KEYS = ["name", "age", "url", "score"]
@@ -113,7 +115,7 @@ class TestVectorizeKernels:
     @settings(max_examples=40, deadline=None)
     @given(node_batches())
     def test_node_vectorize_matches_reference(self, nodes):
-        vectorizer = NodeVectorizer(_KEYS, _embedder())
+        vectorizer = NodeVectorizerReference(_KEYS, _embedder())
         batch = vectorizer.vectorize(nodes)
         reference = vectorizer.vectorize_reference(nodes)
         assert batch.tobytes() == reference.tobytes()
@@ -127,7 +129,7 @@ class TestVectorizeKernels:
     @given(edge_batches())
     def test_edge_vectorize_matches_reference(self, batch):
         edges, endpoint_labels = batch
-        vectorizer = EdgeVectorizer(["since", "w"], _embedder())
+        vectorizer = EdgeVectorizerReference(["since", "w"], _embedder())
         vectorized = vectorizer.vectorize(edges, endpoint_labels)
         reference = vectorizer.vectorize_reference(edges, endpoint_labels)
         assert vectorized.tobytes() == reference.tobytes()
@@ -141,7 +143,7 @@ class TestVectorizeKernels:
     @given(node_batches())
     def test_node_feature_sets_match_reference(self, nodes):
         """Sets AND interner state must match the element-order loop."""
-        vectorizer = NodeVectorizer(_KEYS, _embedder())
+        vectorizer = NodeVectorizerReference(_KEYS, _embedder())
         batch_interner = FeatureInterner()
         reference_interner = FeatureInterner()
         batch = vectorizer.feature_sets(nodes, batch_interner)
@@ -162,7 +164,7 @@ class TestVectorizeKernels:
     @given(edge_batches())
     def test_edge_feature_sets_match_reference(self, batch):
         edges, endpoint_labels = batch
-        vectorizer = EdgeVectorizer(["since", "w"], _embedder())
+        vectorizer = EdgeVectorizerReference(["since", "w"], _embedder())
         batch_interner = FeatureInterner()
         reference_interner = FeatureInterner()
         got = vectorizer.feature_sets(edges, endpoint_labels, batch_interner)
@@ -268,12 +270,12 @@ class TestEndToEndEquivalence:
     @staticmethod
     def _assert_modes_agree(graph, method):
         store = GraphStore(graph)
-        serialized = {}
-        for kernels in ("vectorized", "reference"):
-            config = PGHiveConfig(method=method, kernels=kernels)
-            result = PGHive(config).discover(store)
-            serialized[kernels] = serialize_pg_schema(result.schema)
-        assert serialized["vectorized"] == serialized["reference"]
+        config = PGHiveConfig(method=method)
+        production = PGHive(config).discover(store)
+        reference = discover_reference(store, config)
+        assert serialize_pg_schema(production.schema) == (
+            serialize_pg_schema(reference.schema)
+        )
 
 
 class TestEmbedderReuse:
@@ -301,7 +303,7 @@ class TestEmbedderReuse:
     def test_reuse_chain_identical_to_refit_chain(self):
         """Reusing the cached embedder must not change any batch schema.
 
-        The reference mode refits Word2Vec every batch; training is
+        The reference engine refits Word2Vec every batch; training is
         deterministic, so the reused embedder is equivalent and the
         monotone schema chain must be byte-identical.
         """
@@ -328,26 +330,26 @@ class TestEmbedderReuse:
             ]
             batches.append((nodes, edges))
         chains = {}
-        for kernels in ("vectorized", "reference"):
-            engine = IncrementalDiscovery(PGHiveConfig(kernels=kernels))
+        for engine_class in (IncrementalDiscovery, ReferenceDiscovery):
+            engine = engine_class(PGHiveConfig())
             chain = []
             for nodes, edges in batches:
                 engine.process_batch(nodes, edges, None)
                 chain.append(serialize_pg_schema(engine.schema))
-            chains[kernels] = chain
-        assert chains["vectorized"] == chains["reference"]
+            chains[engine_class] = chain
+        assert chains[IncrementalDiscovery] == chains[ReferenceDiscovery]
 
 
 class TestStageTiming:
     def test_batch_report_has_stage_seconds(self):
-        for kernels in ("vectorized", "reference"):
-            engine = IncrementalDiscovery(PGHiveConfig(kernels=kernels))
+        for engine_class in (IncrementalDiscovery, ReferenceDiscovery):
+            engine = engine_class(PGHiveConfig())
             report = engine.process_batch(
                 [Node(0, frozenset({"A"}), {"x": 1})],
                 [Edge(1, 0, 0, frozenset({"R"}), {})],
                 None,
             )
             for stage in ("embed", "vectorize", "cluster", "extract", "merge"):
-                assert stage in report.stage_seconds, (kernels, stage)
+                assert stage in report.stage_seconds, (engine_class, stage)
                 assert report.stage_seconds[stage] >= 0.0
             assert sum(report.stage_seconds.values()) <= report.seconds + 0.05

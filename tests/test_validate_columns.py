@@ -1,8 +1,8 @@
 """Property tests: columnar bulk validation == per-element reference.
 
-``validate_columns`` (and its wrapper ``validate_batch``) must produce a
-report byte-identical to ``validate_elements`` / ``validate_graph`` on the
-same inputs: same checked count, same violations, same order, same detail
+``validate_columns`` (and its wrappers ``validate_batch`` and
+``validate_graph``) must produce a report byte-identical to the oracle
+``validate_elements`` of ``tests/oracles/reference.py`` on the same inputs: same checked count, same violations, same order, same detail
 strings.  The corpus below stresses both modes, label-free nodes, abstract
 (label-free) types, endpoint mismatches, unknown endpoints, multi-candidate
 ties, and schemas discovered from real graphs.
@@ -13,7 +13,7 @@ import random
 import pytest
 
 from repro.core.pipeline import PGHive
-from repro.graph.model import Edge, Node
+from repro.graph.model import Edge, Node, PropertyGraph
 from repro.schema.model import (
     DataType,
     EdgeType,
@@ -21,12 +21,8 @@ from repro.schema.model import (
     PropertyStatus,
     SchemaGraph,
 )
-from repro.schema.validate import (
-    ValidationMode,
-    validate_batch,
-    validate_elements,
-    validate_graph,
-)
+from repro.schema.validate import ValidationMode, validate_batch, validate_graph
+from tests.oracles.reference import validate_elements
 
 LABELS = ["Person", "City", "Org", "Tag"]
 KEYS = ["name", "age", "since", "weight", "rank"]
@@ -116,6 +112,17 @@ class TestColumnarEquivalence:
             nodes, edges, schema, mode, endpoint_labels
         )
         _assert_reports_identical(reference, columnar)
+        # validate_graph: the same corpus as a whole graph (add_edges
+        # rejects the edges whose endpoints lie outside it).
+        graph = PropertyGraph("corpus")
+        graph.add_nodes(nodes)
+        graph.add_edges(edges)
+        _assert_reports_identical(
+            validate_elements(
+                list(graph.nodes()), list(graph.edges()), schema, mode
+            ),
+            validate_graph(graph, schema, mode),
+        )
 
     @pytest.mark.parametrize("mode", [ValidationMode.STRICT,
                                       ValidationMode.LOOSE])
@@ -126,8 +133,8 @@ class TestColumnarEquivalence:
         result = PGHive().discover(figure1_store)
         nodes = list(figure1_graph.nodes())
         edges = list(figure1_graph.edges())
-        reference = validate_graph(figure1_graph, result.schema, mode)
-        columnar = validate_batch(nodes, edges, result.schema, mode)
+        reference = validate_elements(nodes, edges, result.schema, mode)
+        columnar = validate_graph(figure1_graph, result.schema, mode)
         _assert_reports_identical(reference, columnar)
         assert columnar.is_valid
 
