@@ -218,6 +218,9 @@ class IncrementalDiscovery:
     ) -> BatchReport:
         """Cluster one batch and merge its types into the running schema.
 
+        Absorbs known patterns (when memoizing), columnizes the rest
+        once, runs the :meth:`discover_batch_columns` body and merges.
+
         Args:
             nodes: Batch nodes.
             edges: Batch edges (sources/targets may live in other batches).
@@ -230,7 +233,6 @@ class IncrementalDiscovery:
             cluster counts.
         """
         started = time.perf_counter()
-        stages = StageTimer()
         if endpoint_labels is None:
             endpoint_labels = {node.id: node.labels for node in nodes}
         memo_node_hits = memo_edge_hits = 0
@@ -238,56 +240,53 @@ class IncrementalDiscovery:
             nodes, edges, memo_node_hits, memo_edge_hits = (
                 self._absorb_known_patterns(nodes, edges, endpoint_labels)
             )
-        batch_schema = SchemaGraph(f"batch{self._batch_counter}")
-        node_clusters, edge_clusters, embedder_reused = (
-            self._process_batch_elements(
-                nodes, edges, endpoint_labels, batch_schema, stages
-            )
+        stages = StageTimer()
+        with stages.stage("vectorize"):
+            ncols = node_columns(nodes)
+            ecols = edge_columns(edges, endpoint_labels)
+        batch_schema, report = self.discover_batch_columns(ncols, ecols)
+        stages.add_seconds(report.stage_seconds)
+        report.stage_seconds = stages.seconds
+        report.num_nodes += memo_node_hits
+        report.num_edges += memo_edge_hits
+        report.memo_node_hits = memo_node_hits
+        report.memo_edge_hits = memo_edge_hits
+        return self._merge_batch(batch_schema, report, started)
+
+    def process_columns(
+        self, ncols: NodeColumns, ecols: EdgeColumns
+    ) -> BatchReport:
+        """Discover an already columnized batch and merge it.
+
+        The sequential driver feeds this from
+        :meth:`~repro.graph.store.BaseGraphStore.columnize_shard`, so
+        columnization is not part of the report's timings.
+        """
+        started = time.perf_counter()
+        batch_schema, report = self.discover_batch_columns(ncols, ecols)
+        return self._merge_batch(batch_schema, report, started)
+
+    def _merge_batch(
+        self, batch_schema: SchemaGraph, report: BatchReport, started: float
+    ) -> BatchReport:
+        """Merge a batch schema into the running schema; record its report."""
+        merge_started = time.perf_counter()
+        merge_schemas(
+            self.schema,
+            batch_schema,
+            self.config.jaccard_threshold,
+            self.config.endpoint_jaccard_threshold,
         )
-        with stages.stage("merge"):
-            merge_schemas(
-                self.schema,
-                batch_schema,
-                self.config.jaccard_threshold,
-                self.config.endpoint_jaccard_threshold,
-            )
-            resolve_edge_endpoints(self.schema)
-        elapsed = time.perf_counter() - started
-        report = BatchReport(
-            index=self._batch_counter,
-            num_nodes=len(nodes) + memo_node_hits,
-            num_edges=len(edges) + memo_edge_hits,
-            node_clusters=len(node_clusters),
-            edge_clusters=len(edge_clusters),
-            seconds=elapsed,
-            memo_node_hits=memo_node_hits,
-            memo_edge_hits=memo_edge_hits,
-            stage_seconds=dict(stages.seconds),
-            embedder_reused=embedder_reused,
-        )
+        resolve_edge_endpoints(self.schema)
+        finished = time.perf_counter()
+        report.stage_seconds["merge"] = finished - merge_started
+        report.seconds = finished - started
         self.reports.append(report)
-        self._batch_counter += 1
         return report
 
     # ------------------------------------------------------------------
     # Batch body
     # ------------------------------------------------------------------
-    def _process_batch_elements(
-        self,
-        nodes: Sequence[Node],
-        edges: Sequence[Edge],
-        endpoint_labels: dict[int, frozenset[str]],
-        batch_schema: SchemaGraph,
-        stages: StageTimer,
-    ) -> tuple[list, list, bool]:
-        """Columnize a batch once; every later stage works per pattern."""
-        with stages.stage("vectorize"):
-            ncols = node_columns(nodes)
-            ecols = edge_columns(edges, endpoint_labels)
-        return self._process_batch_from_columns(
-            ncols, ecols, batch_schema, stages
-        )
-
     def _process_batch_from_columns(
         self,
         ncols: NodeColumns,

@@ -16,11 +16,13 @@ Workers never receive pickled :class:`~repro.graph.model.Node` /
 * **plan mode** (:meth:`ParallelDiscovery.discover_store`): the parent
   computes the shard partition -- the node half serially (one seeded
   shuffle), the O(edges) bucketing half *on the worker pool* via
-  :meth:`~repro.graph.store.GraphStore.bucket_edge_range` slices whose
+  :meth:`~repro.graph.store.BaseGraphStore.bucket_edge_range` slices whose
   per-shard buckets concatenate to the byte-identical single-pass
   assignment -- installs it into the store, and forks; each worker
   receives only :class:`~repro.graph.store.ShardPlan` scalars and
-  materializes + columnizes its shards against the fork-inherited store.
+  columnizes its shards from the fork-inherited store's columns
+  (:meth:`~repro.graph.store.BaseGraphStore.columnize_shard`), building
+  objects only when memoized absorption or sharded statistics read them.
 * **stream mode** (:meth:`ParallelDiscovery.discover_stream`): for a
   seeded :class:`~repro.datasets.stream.GraphStream`, workers receive
   :class:`~repro.datasets.stream.StreamShardPlan` scalars and *replay*
@@ -368,23 +370,21 @@ def _discover_plans(
     engine = IncrementalDiscovery(config, name="shard")
     compute_stats = sharded_postprocess_enabled(config)
     snapshot = state.snapshot
-    columnizer = getattr(source, "columnize_shard", None)
+    needs_objects = snapshot is not None or compute_stats
     results: list[ShardResult] = []
     for plan, attempt in zip(plans, attempts):
         if injector is not None:
             injector.fire("shard", plan.index, attempt, in_worker=in_worker)
         if (
-            columnizer is not None
+            not needs_objects
             and isinstance(plan, ShardPlan)
-            and snapshot is None
-            and not compute_stats
+            and isinstance(source, BaseGraphStore)
         ):
-            # Out-of-core fast path: the disk backend columnizes a shard
-            # straight from its mapped slab columns, byte-identical to
-            # materializing objects first but without ever holding them.
-            # Memoized absorption and sharded stats still need the
-            # object form, so they take the materializing path below.
-            ncols, ecols = columnizer(plan)
+            # Stores columnize a shard straight from their interned
+            # columns, byte-identical to materializing objects first.
+            # Memoized absorption and sharded stats read elements, so
+            # they (and stream replay) take the materializing path.
+            ncols, ecols = source.columnize_shard(plan)
             _check_memory(config, in_worker, "columnization", plan.index)
             results.append(_discover_one(engine, plan.index, ncols, ecols))
             _check_memory(config, in_worker, "discovery", plan.index)

@@ -22,7 +22,6 @@ Example:
 from __future__ import annotations
 
 import time
-from typing import Iterator
 
 from repro.core.config import PGHiveConfig
 from repro.core.faults import FaultInjector
@@ -34,38 +33,11 @@ from repro.core.postprocess import (
     infer_datatypes,
     infer_property_constraints,
 )
-from repro.core.result import DiscoveryResult, ShardFailure
+from repro.core.result import BatchReport, DiscoveryResult, ShardFailure
 from repro.datasets.stream import GraphStream
 from repro.graph.slab import SlabCorruptionError
-from repro.graph.store import BaseGraphStore, GraphBatch, GraphStore
+from repro.graph.store import BaseGraphStore, GraphStore, ShardPlan
 from repro.schema.model import SchemaGraph
-
-
-def _iter_batches(
-    store: BaseGraphStore,
-    num_batches: int,
-    config: PGHiveConfig,
-    failures: list[ShardFailure],
-) -> Iterator[GraphBatch]:
-    """Stream the store's batches, honouring ``corrupt_slab_policy``.
-
-    With ``"skip"`` each batch is planned and materialized individually
-    so a :class:`~repro.graph.slab.SlabCorruptionError` quarantines only
-    the damaged shard (appended to ``failures`` as a ``"corruption"``
-    record) while the surviving batches still stream.  The default
-    ``"raise"`` policy takes the plain path and lets corruption
-    propagate -- corrupt storage is never silently read either way.
-    """
-    if config.corrupt_slab_policy != "skip":
-        yield from store.batches(num_batches, seed=config.seed)
-        return
-    for plan in store.plan_shards(num_batches, seed=config.seed):
-        try:
-            yield store.materialize_shard(plan)
-        except SlabCorruptionError as exc:
-            failures.append(
-                ShardFailure(plan.index, 0, "corruption", str(exc))
-            )
 
 
 class PGHive:
@@ -173,22 +145,26 @@ class PGHive:
         resumed_from = engine._batch_counter
         discovery_seconds = sum(r.seconds for r in engine.reports)
         shard_failures: list[ShardFailure] = []
-        for batch in _iter_batches(
-            store, num_batches, config, shard_failures
-        ):
-            if batch.index < resumed_from:
+        for plan in store.plan_shards(num_batches, seed=config.seed):
+            if plan.index < resumed_from:
                 continue  # deterministic partition: already checkpointed
-            if injector is not None:
-                injector.fire("batch", batch.index)
-            report = engine.process_batch(
-                batch.nodes, batch.edges, batch.endpoint_labels
-            )
+            try:
+                report = self._discover_shard(engine, store, plan, injector)
+            except SlabCorruptionError as exc:
+                # The "skip" policy quarantines only the damaged shard;
+                # corrupt storage is never silently read either way.
+                if config.corrupt_slab_policy != "skip":
+                    raise
+                shard_failures.append(
+                    ShardFailure(plan.index, 0, "corruption", str(exc))
+                )
+                continue
             discovery_seconds += report.seconds
             if post_process_each_batch and config.post_processing:
                 self._post_process(engine.schema, store)
             if checkpoint_dir and (
-                (batch.index + 1) % config.checkpoint_every == 0
-                or batch.index + 1 == num_batches
+                (plan.index + 1) % config.checkpoint_every == 0
+                or plan.index + 1 == num_batches
             ):
                 engine.save_checkpoint(checkpoint_dir, context=context)
         if config.post_processing and not post_process_each_batch:
@@ -209,6 +185,34 @@ class PGHive:
         )
         result.refresh_assignments()
         return result
+
+    def _discover_shard(
+        self,
+        engine: IncrementalDiscovery,
+        store: BaseGraphStore,
+        plan: ShardPlan,
+        injector: FaultInjector | None,
+    ) -> BatchReport:
+        """Read one planned shard from the store and run it through the engine.
+
+        The store columnizes the shard directly unless element objects
+        are needed: memoized absorption reads them, and the ``"skip"``
+        corruption policy reads every row so that damage anywhere in
+        the shard quarantines it here instead of failing post-processing
+        later (columnizing reads one property record per key set).
+        """
+        config = self.config
+        if config.memoize_patterns or config.corrupt_slab_policy == "skip":
+            batch = store.materialize_shard(plan)
+            if injector is not None:
+                injector.fire("batch", plan.index)
+            return engine.process_batch(
+                batch.nodes, batch.edges, batch.endpoint_labels
+            )
+        ncols, ecols = store.columnize_shard(plan)
+        if injector is not None:
+            injector.fire("batch", plan.index)
+        return engine.process_columns(ncols, ecols)
 
     def _discover_stream(
         self,

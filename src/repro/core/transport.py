@@ -294,6 +294,15 @@ class SegmentRegistry:
                 segment = shared_memory.SharedMemory(name=name)
             except FileNotFoundError:
                 return  # reserved but never created, or already gone
+            except ValueError:
+                # A worker killed between creating the segment and
+                # sizing it leaves an empty object, which SharedMemory
+                # cannot map; unlink its file under /dev/shm instead.
+                try:
+                    os.unlink(os.path.join("/dev/shm", name))
+                except FileNotFoundError:
+                    pass
+                return
             segment.close()
             segment.unlink()
         else:

@@ -104,7 +104,7 @@ class GraphStream:
     def batches(self) -> Iterator[GraphBatch]:
         """Generate the stream."""
         for index in range(self.num_batches):
-            yield self._make_batch(index)
+            yield self._generate_batch(index)
 
     def plan_shards(self, num_shards: int | None = None) -> list[StreamShardPlan]:
         """Plans for re-materializing each batch independently of the stream.
@@ -146,10 +146,10 @@ class GraphStream:
             )
             self._replay = (replica, 0)
         replica, cursor = self._replay
-        batch = replica._make_batch(cursor)
+        batch = replica._generate_batch(cursor)
         while cursor < plan.index:
             cursor += 1
-            batch = replica._make_batch(cursor)
+            batch = replica._generate_batch(cursor)
         self._replay = (replica, cursor + 1)
         return batch
 
@@ -168,7 +168,7 @@ class GraphStream:
             and self._nodes_by_type[t.target]
         ]
 
-    def _make_batch(self, index: int) -> GraphBatch:
+    def _generate_batch(self, index: int) -> GraphBatch:
         rng = self._rng
         node_types = self._active_node_types(index)
         new_nodes: list[Node] = []

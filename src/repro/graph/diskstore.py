@@ -27,18 +27,11 @@ it across worker counts, chunkings and transports).
 from __future__ import annotations
 
 import os
-import random
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy
 
-from repro.core.columns import (
-    EdgeColumns,
-    NodeColumns,
-    edge_columns_from_arrays,
-    node_columns_from_arrays,
-)
 from repro.core.transport import ArrayRef, Slab, SlabRef
 from repro.graph.io import IngestReport, stream_graph_jsonl
 from repro.graph.model import Edge, Node, PropertyGraph
@@ -49,7 +42,7 @@ from repro.graph.slab import (
     SlabWriter,
     read_manifest,
 )
-from repro.graph.store import BaseGraphStore, GraphBatch, ShardPlan
+from repro.graph.store import BaseGraphStore, ShardPartition
 
 #: Rows per ingest chunk handed to the slab writer in one call.
 INGEST_CHUNK_ROWS = 2048
@@ -57,7 +50,7 @@ INGEST_CHUNK_ROWS = 2048
 _SCRATCH_DIR = "scratch"
 
 
-class _SpilledPartition:
+class _SpilledPartition(ShardPartition):
     """A partition spilled to one scratch file, attached lazily per process.
 
     Holds only the :class:`SlabRef` plus per-shard :class:`ArrayRef`
@@ -66,14 +59,13 @@ class _SpilledPartition:
     the file themselves instead of inheriting a parent attachment.
     """
 
-    __slots__ = ("ref", "node_refs", "edge_refs", "_slab")
-
     def __init__(
         self,
         ref: SlabRef,
         node_refs: list[ArrayRef],
         edge_refs: list[ArrayRef],
     ) -> None:
+        super().__init__((), ())
         self.ref = ref
         self.node_refs = node_refs
         self.edge_refs = edge_refs
@@ -130,20 +122,23 @@ class SlabIngestError(RuntimeError):
 class DiskGraphStore(BaseGraphStore):
     """Store contract implementation over an on-disk slab directory.
 
+    The slab reader *is* the store's :attr:`columns`; sharding,
+    columnization and the aggregations come from
+    :class:`~repro.graph.store.BaseGraphStore`.  What is disk-specific
+    lives here: opening (and checksum-verifying) the slabs, re-opening
+    at a newer commit, the fingerprint, and spilling the partition to a
+    scratch file that pool workers map themselves.
+
     ``verify=True`` (the default) runs the slab reader's open-time
     checksum pass; pass ``verify=False`` only when the directory was
     just verified out of band (e.g. straight after a scrub).
     """
 
     def __init__(self, directory: str | Path, verify: bool = True) -> None:
+        super().__init__()
         self._directory = Path(directory)
         self._verify = verify
         self._reader = SlabReader(self._directory, verify=verify)
-        self._partition_cache: tuple[
-            tuple[int, int, bool], _SpilledPartition
-        ] | None = None
-        self._node_sorted: tuple[numpy.ndarray, numpy.ndarray] | None = None
-        self._edge_sorted: tuple[numpy.ndarray, numpy.ndarray] | None = None
 
     # ------------------------------------------------------------------
     # Identity
@@ -163,6 +158,11 @@ class DiskGraphStore(BaseGraphStore):
         """The underlying slab reader (mapped columns)."""
         return self._reader
 
+    @property
+    def columns(self) -> SlabReader:
+        """The mapped slab columns (the reader of the open commit)."""
+        return self._reader
+
     def journal_fingerprint(self) -> dict[str, str] | None:
         """Durable slab state, recorded in checkpoint/journal context."""
         return {"slab": self._reader.fingerprint}
@@ -174,11 +174,7 @@ class DiskGraphStore(BaseGraphStore):
 
     def close(self) -> None:
         """Release every mapping held by this process."""
-        if self._partition_cache is not None:
-            self._partition_cache[1].close()
-            self._partition_cache = None
-        self._node_sorted = None
-        self._edge_sorted = None
+        self._drop_caches()
         self._reader.close()
 
     def __enter__(self) -> "DiskGraphStore":
@@ -188,7 +184,7 @@ class DiskGraphStore(BaseGraphStore):
         self.close()
 
     # ------------------------------------------------------------------
-    # Scans
+    # Scans and point lookups
     # ------------------------------------------------------------------
     def scan_nodes(self) -> Iterator[Node]:
         """Stream all nodes in insertion order."""
@@ -206,49 +202,6 @@ class DiskGraphStore(BaseGraphStore):
         """Total number of edges."""
         return self._reader.edge_count
 
-    # ------------------------------------------------------------------
-    # Point lookups (id-sorted binary search over the mapped id column)
-    # ------------------------------------------------------------------
-    def _node_index(self) -> tuple[numpy.ndarray, numpy.ndarray]:
-        if self._node_sorted is None:
-            ids = self._reader.node_ids
-            order = numpy.argsort(ids, kind="stable")
-            self._node_sorted = (ids[order], order)
-        return self._node_sorted
-
-    def _edge_index(self) -> tuple[numpy.ndarray, numpy.ndarray]:
-        if self._edge_sorted is None:
-            ids = self._reader.edge_ids
-            order = numpy.argsort(ids, kind="stable")
-            self._edge_sorted = (ids[order], order)
-        return self._edge_sorted
-
-    @staticmethod
-    def _rows_for(
-        ids: numpy.ndarray,
-        index: tuple[numpy.ndarray, numpy.ndarray],
-    ) -> numpy.ndarray:
-        """Rows of the given element ids; ``KeyError`` on any unknown id."""
-        sorted_ids, order = index
-        ids = numpy.asarray(ids, dtype=numpy.int64)
-        if ids.size == 0:
-            return numpy.empty(0, dtype=numpy.int64)
-        positions = numpy.searchsorted(sorted_ids, ids)
-        in_range = positions < sorted_ids.size
-        if not in_range.all():
-            raise KeyError(int(ids[numpy.flatnonzero(~in_range)[0]]))
-        matched = sorted_ids[positions] == ids
-        if not matched.all():
-            raise KeyError(int(ids[numpy.flatnonzero(~matched)[0]]))
-        result: numpy.ndarray = order[positions]
-        return result
-
-    def _node_rows(self, ids: numpy.ndarray) -> numpy.ndarray:
-        return self._rows_for(ids, self._node_index())
-
-    def _edge_rows(self, ids: numpy.ndarray) -> numpy.ndarray:
-        return self._rows_for(ids, self._edge_index())
-
     def node(self, node_id: int) -> Node:
         """Point lookup of a node (``KeyError`` when absent)."""
         row = self._node_rows(numpy.asarray([node_id], dtype=numpy.int64))
@@ -260,201 +213,23 @@ class DiskGraphStore(BaseGraphStore):
         return self._reader.edge_at(int(row[0]))
 
     # ------------------------------------------------------------------
-    # Sharded scans
+    # Spilled partition
     # ------------------------------------------------------------------
-    def plan_shards(
-        self,
-        num_shards: int,
-        seed: int = 0,
-        shuffle: bool = True,
-    ) -> list[ShardPlan]:
-        """Plans for materializing each batch of a sharded scan on demand.
-
-        Warms the spilled partition, so forked workers inherit only the
-        tiny :class:`SlabRef` + byte ranges and map the scratch file
-        themselves.
-        """
-        if num_shards < 1:
-            raise ValueError("num_shards must be >= 1")
-        self._partition(num_shards, seed, shuffle)
-        return [
-            ShardPlan(index, num_shards, seed, shuffle)
-            for index in range(num_shards)
-        ]
-
-    def materialize_shard(self, plan: ShardPlan) -> GraphBatch:
-        """Build the single batch described by ``plan``."""
-        if not 0 <= plan.index < plan.num_shards:
-            raise ValueError(
-                f"shard index {plan.index} out of range for "
-                f"{plan.num_shards} shards"
-            )
-        partition = self._partition(plan.num_shards, plan.seed, plan.shuffle)
-        return self.materialize_index_shard(
-            plan.index,
-            partition.node_array(plan.index),
-            partition.edge_array(plan.index),
-        )
-
-    def partition_tables(
-        self, num_shards: int, seed: int = 0, shuffle: bool = True
-    ) -> tuple[list[numpy.ndarray], numpy.ndarray, numpy.ndarray]:
-        """Parent-side half of the parallel partition pass.
-
-        Replays :meth:`GraphStore.partition_tables` exactly -- same
-        ``random.Random(seed).shuffle`` over the same insertion-ordered
-        id list (here the mapped id column), same stable argsort -- so
-        both backends assign every element to the same shard.
-        """
-        if num_shards < 1:
-            raise ValueError("num_shards must be >= 1")
-        node_ids = self._reader.node_ids.tolist()
-        if shuffle:
-            random.Random(seed).shuffle(node_ids)
-        shuffled = numpy.asarray(node_ids, dtype=numpy.int64)
-        if shuffled.size == 0:
-            empty = numpy.empty(0, dtype=numpy.int64)
-            return [empty.copy() for _ in range(num_shards)], empty, empty
-        order = numpy.argsort(shuffled, kind="stable")
-        sorted_ids = shuffled[order]
-        shard_of_sorted = (order % num_shards).astype(numpy.int64)
-        nodes_by_shard = [
-            shuffled[shard::num_shards].copy() for shard in range(num_shards)
-        ]
-        return nodes_by_shard, sorted_ids, shard_of_sorted
-
-    def bucket_edge_range(
-        self,
-        start: int,
-        stop: int,
-        sorted_ids: numpy.ndarray,
-        shard_of_sorted: numpy.ndarray,
-        num_shards: int,
-    ) -> list[numpy.ndarray]:
-        """Bucket the edges at positions ``[start, stop)`` by shard.
-
-        Unlike the in-memory backend there is no object loop at all:
-        the slice of the mapped source column feeds the same
-        ``searchsorted`` + stable-argsort math directly.
-        """
-        count = max(stop - start, 0)
-        total = self._reader.edge_count
-        consumed = max(min(stop, total) - start, 0)
-        if consumed != count:
-            raise ValueError(
-                f"edge range [{start}, {stop}) exceeds the graph's "
-                f"{start + consumed} edges"
-            )
-        edge_ids = self._reader.edge_ids[start:stop]
-        sources = self._reader.edge_sources[start:stop]
-        lookup = numpy.searchsorted(sorted_ids, sources)
-        shards = shard_of_sorted[lookup]
-        order = numpy.argsort(shards, kind="stable")
-        sorted_shards = shards[order]
-        sorted_edge_ids = edge_ids[order]
-        bounds = numpy.searchsorted(
-            sorted_shards, numpy.arange(num_shards + 1)
-        )
-        return [
-            sorted_edge_ids[bounds[shard] : bounds[shard + 1]].copy()
-            for shard in range(num_shards)
-        ]
-
-    def materialize_index_shard(
-        self,
-        index: int,
-        node_ids: numpy.ndarray,
-        edge_ids: numpy.ndarray,
-    ) -> GraphBatch:
-        """Build a batch from explicit id arrays (parallel plan mode).
-
-        Elements are materialized row-by-row from the mapped columns in
-        id-array order; the endpoint-label map replays the identical
-        first-seen-in-edge-order walk, reading label sets straight from
-        the label column without materializing endpoint nodes.
-        """
-        reader = self._reader
-        node_rows = self._node_rows(node_ids)
-        nodes = [reader.node_at(int(row)) for row in node_rows.tolist()]
-        edge_rows = self._edge_rows(edge_ids)
-        edges = [reader.edge_at(int(row)) for row in edge_rows.tolist()]
-        endpoint_labels: dict[int, frozenset[str]] = {}
-        if edges:
-            label_column = reader.node_label_ids
-            label_sets = reader.node_label_sets
-            endpoint_ids = numpy.empty(len(edges) * 2, dtype=numpy.int64)
-            for position, edge in enumerate(edges):
-                endpoint_ids[position * 2] = edge.source
-                endpoint_ids[position * 2 + 1] = edge.target
-            endpoint_rows = self._node_rows(endpoint_ids)
-            for position in range(endpoint_ids.size):
-                nid = int(endpoint_ids[position])
-                if nid not in endpoint_labels:
-                    endpoint_labels[nid] = label_sets[
-                        int(label_column[int(endpoint_rows[position])])
-                    ]
-        return GraphBatch(index, nodes, edges, endpoint_labels)
-
-    def install_partition(
+    def _hold_partition(
         self,
         num_shards: int,
         seed: int,
         shuffle: bool,
         nodes_by_shard_ids: Sequence[numpy.ndarray],
         edges_by_shard_ids: Sequence[numpy.ndarray],
-    ) -> None:
-        """Install an externally computed partition (spilled to disk)."""
-        self._set_partition(
-            (num_shards, seed, shuffle),
-            self._spill_partition(
-                num_shards, seed, shuffle,
-                nodes_by_shard_ids, edges_by_shard_ids,
-            ),
-        )
-
-    def _set_partition(
-        self, key: tuple[int, int, bool], partition: _SpilledPartition
-    ) -> None:
-        if self._partition_cache is not None:
-            self._partition_cache[1].close()
-        self._partition_cache = (key, partition)
-
-    def _partition(
-        self, num_shards: int, seed: int, shuffle: bool
-    ) -> _SpilledPartition:
-        """Assign nodes and edges to shards (cached for the last plan)."""
-        if num_shards < 1:
-            raise ValueError("num_batches must be >= 1")
-        key = (num_shards, seed, shuffle)
-        cached = self._partition_cache
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        nodes_by_shard, sorted_ids, shard_of_sorted = self.partition_tables(
-            num_shards, seed, shuffle
-        )
-        edges_by_shard = self.bucket_edge_range(
-            0, self._reader.edge_count, sorted_ids, shard_of_sorted,
-            num_shards,
-        )
-        partition = self._spill_partition(
-            num_shards, seed, shuffle, nodes_by_shard, edges_by_shard
-        )
-        self._set_partition(key, partition)
-        return partition
-
-    def _spill_partition(
-        self,
-        num_shards: int,
-        seed: int,
-        shuffle: bool,
-        nodes_by_shard_ids: Sequence[numpy.ndarray],
-        edges_by_shard_ids: Sequence[numpy.ndarray],
-    ) -> _SpilledPartition:
+    ) -> ShardPartition:
         """Write per-shard id arrays to one scratch file, keep byte ranges.
 
-        The file is written to a temp name and atomically renamed, so a
-        partition file is always complete; workers that mapped an older
-        file for the same key keep reading their (replaced) inode.
+        Forked workers then inherit only the tiny :class:`SlabRef` plus
+        byte ranges and map the file themselves.  The file is written to
+        a temp name and atomically renamed, so a partition file is always
+        complete; workers that mapped an older file for the same key keep
+        reading their (replaced) inode.
         """
         scratch = self._directory / _SCRATCH_DIR
         scratch.mkdir(parents=True, exist_ok=True)
@@ -480,94 +255,6 @@ class DiskGraphStore(BaseGraphStore):
         return _SpilledPartition(
             ref, refs[:num_shards], refs[num_shards:]
         )
-
-    # ------------------------------------------------------------------
-    # Column fast path (no object materialization at all)
-    # ------------------------------------------------------------------
-    def columnize_shard(
-        self, plan: ShardPlan
-    ) -> tuple[NodeColumns, EdgeColumns]:
-        """Columnize one shard straight from the mapped columns.
-
-        Byte-identical to columnizing the materialized batch: global
-        interner ids are remapped to per-batch first-appearance dense
-        ids by the from-arrays constructors.  Used by pool workers when
-        a shard's schema is all that is needed (no per-value statistics
-        and no absorption snapshot), skipping Node/Edge object
-        construction and the property heap entirely.
-        """
-        partition = self._partition(plan.num_shards, plan.seed, plan.shuffle)
-        reader = self._reader
-        node_ids = partition.node_array(plan.index)
-        node_rows = self._node_rows(node_ids)
-        # Key orders must come from the representative *row's* own
-        # property dict (two rows with one key set may order their dicts
-        # differently); one heap unpickle per distinct key set.
-        node_cols = node_columns_from_arrays(
-            node_ids,
-            reader.node_label_ids[node_rows],
-            reader.node_keyset_ids[node_rows],
-            reader.node_label_sets,
-            lambda position: tuple(
-                reader.node_properties_at(int(node_rows[position]))
-            ),
-        )
-        edge_ids = partition.edge_array(plan.index)
-        edge_rows = self._edge_rows(edge_ids)
-        sources = reader.edge_sources[edge_rows]
-        targets = reader.edge_targets[edge_rows]
-        node_label_column = reader.node_label_ids
-        edge_cols = edge_columns_from_arrays(
-            edge_ids,
-            sources,
-            targets,
-            reader.edge_label_ids[edge_rows],
-            node_label_column[self._node_rows(sources)],
-            node_label_column[self._node_rows(targets)],
-            reader.edge_keyset_ids[edge_rows],
-            reader.edge_label_sets,
-            reader.node_label_sets,
-            lambda position: tuple(
-                reader.edge_properties_at(int(edge_rows[position]))
-            ),
-        )
-        return node_cols, edge_cols
-
-    # ------------------------------------------------------------------
-    # Aggregations and sampling
-    # ------------------------------------------------------------------
-    def degree_extremes(self, edge_ids: Iterable[int]) -> tuple[int, int]:
-        """Max out-degree and max in-degree over a set of edges.
-
-        Vectorized: unique-count over the mapped endpoint columns gives
-        the same maxima as the in-memory dict count.
-        """
-        ids = numpy.fromiter(
-            (int(edge_id) for edge_id in edge_ids), dtype=numpy.int64
-        )
-        if ids.size == 0:
-            return 0, 0
-        rows = self._edge_rows(ids)
-        sources = self._reader.edge_sources[rows]
-        targets = self._reader.edge_targets[rows]
-        max_out = int(numpy.unique(sources, return_counts=True)[1].max())
-        max_in = int(numpy.unique(targets, return_counts=True)[1].max())
-        return max_out, max_in
-
-    def sample_nodes(self, size: int, seed: int = 0) -> list[Node]:
-        """Uniform random sample of at most ``size`` nodes.
-
-        ``random.Random(seed).sample`` selects positions as a function
-        of the population *length* only, so sampling ``range(n)`` yields
-        exactly the indices (in exactly the order) that sampling the
-        materialized node list would -- the in-memory backend's sample,
-        without building that list.
-        """
-        total = self._reader.node_count
-        if size >= total:
-            return [self._reader.node_at(row) for row in range(total)]
-        chosen = random.Random(seed).sample(range(total), size)
-        return [self._reader.node_at(row) for row in chosen]
 
 
 # ----------------------------------------------------------------------

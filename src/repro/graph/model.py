@@ -136,6 +136,17 @@ class PropertyGraph:
         self._edges: dict[int, Edge] = {}
         self._out: dict[int, list[int]] = {}
         self._in: dict[int, list[int]] = {}
+        self._version = 0
+
+    @property
+    def version(self) -> int:
+        """Mutation counter: bumped by every add, remove and replace.
+
+        Views derived from the graph (the interned columns behind
+        :class:`~repro.graph.store.GraphStore`) compare it to tell
+        whether they are stale.
+        """
+        return self._version
 
     # ------------------------------------------------------------------
     # Mutation
@@ -144,6 +155,7 @@ class PropertyGraph:
         """Insert a node; raises ``ValueError`` on a duplicate id."""
         if node.id in self._nodes:
             raise ValueError(f"duplicate node id {node.id}")
+        self._version += 1
         self._nodes[node.id] = node
         self._out.setdefault(node.id, [])
         self._in.setdefault(node.id, [])
@@ -156,6 +168,7 @@ class PropertyGraph:
             raise ValueError(f"edge {edge.id}: unknown source {edge.source}")
         if edge.target not in self._nodes:
             raise ValueError(f"edge {edge.id}: unknown target {edge.target}")
+        self._version += 1
         self._edges[edge.id] = edge
         self._out[edge.source].append(edge.id)
         self._in[edge.target].append(edge.id)
@@ -171,6 +184,7 @@ class PropertyGraph:
         :meth:`add_node` raises); accepted records are inserted in
         order.
         """
+        self._version += 1
         rejects: list[tuple[int, str]] = []
         nodes_map = self._nodes
         out_map = self._out
@@ -191,6 +205,7 @@ class PropertyGraph:
         Counterpart of :meth:`add_nodes` for edges; integrity checks
         (duplicate id, unknown endpoints) match :meth:`add_edge`.
         """
+        self._version += 1
         rejects: list[tuple[int, str]] = []
         nodes_map = self._nodes
         edges_map = self._edges
@@ -219,6 +234,7 @@ class PropertyGraph:
     def remove_edge(self, edge_id: int) -> Edge:
         """Delete an edge; returns the removed record."""
         edge = self._edges.pop(edge_id)
+        self._version += 1
         self._out[edge.source].remove(edge_id)
         self._in[edge.target].remove(edge_id)
         return edge
@@ -231,6 +247,7 @@ class PropertyGraph:
         for edge_id in list(self._in.get(node_id, ())):
             self.remove_edge(edge_id)
         del self._nodes[node_id]
+        self._version += 1
         self._out.pop(node_id, None)
         self._in.pop(node_id, None)
         return node
@@ -239,6 +256,7 @@ class PropertyGraph:
         """Replace an existing node in place (id must exist)."""
         if node.id not in self._nodes:
             raise KeyError(node.id)
+        self._version += 1
         self._nodes[node.id] = node
 
     def replace_edge(self, edge: Edge) -> None:
@@ -248,6 +266,7 @@ class PropertyGraph:
             raise KeyError(edge.id)
         if (old.source, old.target) != (edge.source, edge.target):
             raise ValueError("replace_edge cannot change endpoints")
+        self._version += 1
         self._edges[edge.id] = edge
 
     # ------------------------------------------------------------------

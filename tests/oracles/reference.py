@@ -23,6 +23,7 @@ the baseline of the vectorized engine.
 
 from __future__ import annotations
 
+import time
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -30,6 +31,7 @@ import numpy as np
 from repro.core.config import LSHMethod, PGHiveConfig
 from repro.core.incremental import IncrementalDiscovery
 from repro.core.pipeline import PGHive
+from repro.core.result import BatchReport
 from repro.core.type_extraction import (
     PSEUDO_PREFIX,
     CandidateCluster,
@@ -285,24 +287,45 @@ def build_edge_clusters(
 class ReferenceDiscovery(IncrementalDiscovery):
     """:class:`IncrementalDiscovery` running the element-at-a-time body.
 
-    Memoization, merging, reports and checkpoints are inherited; only
-    the per-batch embed / vectorize / cluster / extract body is replaced
-    by the original loops.  Word2Vec is refitted every batch (no
-    embedder reuse), so ``embedder_reused`` is always False.
+    Memoization, merging and checkpoints are inherited; ``process_batch``
+    runs the original element loops for the per-batch embed / vectorize
+    / cluster / extract body instead of columnizing.  Word2Vec is
+    refitted every batch (no embedder reuse), so ``embedder_reused`` is
+    always False.
     """
 
-    def _process_batch_elements(
+    def process_batch(
         self,
         nodes: Sequence[Node],
         edges: Sequence[Edge],
-        endpoint_labels: dict[int, frozenset[str]],
-        batch_schema: SchemaGraph,
-        stages: StageTimer,
-    ) -> tuple[list, list, bool]:
+        endpoint_labels: dict[int, frozenset[str]] | None = None,
+    ) -> BatchReport:
+        started = time.perf_counter()
+        if endpoint_labels is None:
+            endpoint_labels = {node.id: node.labels for node in nodes}
+        memo_node_hits = memo_edge_hits = 0
+        if self.config.memoize_patterns:
+            nodes, edges, memo_node_hits, memo_edge_hits = (
+                self._absorb_known_patterns(nodes, edges, endpoint_labels)
+            )
+        stages = StageTimer()
+        batch_schema = SchemaGraph(f"batch{self._batch_counter}")
         node_clusters, edge_clusters = self._process_batch_reference(
             nodes, edges, endpoint_labels, batch_schema, stages
         )
-        return node_clusters, edge_clusters, False
+        report = BatchReport(
+            index=self._batch_counter,
+            num_nodes=len(nodes) + memo_node_hits,
+            num_edges=len(edges) + memo_edge_hits,
+            node_clusters=len(node_clusters),
+            edge_clusters=len(edge_clusters),
+            seconds=0.0,
+            memo_node_hits=memo_node_hits,
+            memo_edge_hits=memo_edge_hits,
+            stage_seconds=stages.seconds,
+        )
+        self._batch_counter += 1
+        return self._merge_batch(batch_schema, report, started)
 
     def _process_batch_reference(
         self,

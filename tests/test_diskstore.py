@@ -212,41 +212,48 @@ class TestColumnizeShard:
     def test_columnize_matches_materialized_batch(
         self, memory_store, disk_store
     ):
-        for plan in disk_store.plan_shards(3, seed=5):
-            batch = memory_store.materialize_shard(
-                memory_store.plan_shards(3, seed=5)[plan.index]
-            )
-            ref_n = node_columns(batch.nodes)
-            ref_e = edge_columns(batch.edges, batch.endpoint_labels)
-            got_n, got_e = disk_store.columnize_shard(plan)
-            numpy.testing.assert_array_equal(got_n.ids, ref_n.ids)
-            numpy.testing.assert_array_equal(got_n.label_ids, ref_n.label_ids)
-            numpy.testing.assert_array_equal(
-                got_n.keyset_ids, ref_n.keyset_ids
-            )
-            assert got_n.labels.sets == ref_n.labels.sets
-            assert got_n.labels.tokens == ref_n.labels.tokens
-            assert got_n.keys.sets == ref_n.keys.sets
-            assert got_n.keys.orders == ref_n.keys.orders
-            numpy.testing.assert_array_equal(got_e.ids, ref_e.ids)
-            numpy.testing.assert_array_equal(
-                got_e.label_ids, ref_e.label_ids
-            )
-            numpy.testing.assert_array_equal(
-                got_e.keyset_ids, ref_e.keyset_ids
-            )
-            numpy.testing.assert_array_equal(got_e.source, ref_e.source)
-            numpy.testing.assert_array_equal(got_e.target, ref_e.target)
-            numpy.testing.assert_array_equal(
-                got_e.src_label_ids, ref_e.src_label_ids
-            )
-            numpy.testing.assert_array_equal(
-                got_e.tgt_label_ids, ref_e.tgt_label_ids
-            )
-            assert got_e.labels.sets == ref_e.labels.sets
-            assert got_e.labels.tokens == ref_e.labels.tokens
-            assert got_e.keys.sets == ref_e.keys.sets
-            assert got_e.keys.orders == ref_e.keys.orders
+        for store in (disk_store, memory_store):
+            for plan in store.plan_shards(3, seed=5):
+                batch = memory_store.materialize_shard(
+                    memory_store.plan_shards(3, seed=5)[plan.index]
+                )
+                ref_n = node_columns(batch.nodes)
+                ref_e = edge_columns(batch.edges, batch.endpoint_labels)
+                got_n, got_e = store.columnize_shard(plan)
+                numpy.testing.assert_array_equal(got_n.ids, ref_n.ids)
+                numpy.testing.assert_array_equal(
+                    got_n.label_ids, ref_n.label_ids
+                )
+                numpy.testing.assert_array_equal(
+                    got_n.keyset_ids, ref_n.keyset_ids
+                )
+                assert got_n.labels.sets == ref_n.labels.sets
+                assert got_n.labels.tokens == ref_n.labels.tokens
+                assert got_n.keys.sets == ref_n.keys.sets
+                assert got_n.keys.orders == ref_n.keys.orders
+                numpy.testing.assert_array_equal(got_e.ids, ref_e.ids)
+                numpy.testing.assert_array_equal(
+                    got_e.label_ids, ref_e.label_ids
+                )
+                numpy.testing.assert_array_equal(
+                    got_e.keyset_ids, ref_e.keyset_ids
+                )
+                numpy.testing.assert_array_equal(
+                    got_e.source, ref_e.source
+                )
+                numpy.testing.assert_array_equal(
+                    got_e.target, ref_e.target
+                )
+                numpy.testing.assert_array_equal(
+                    got_e.src_label_ids, ref_e.src_label_ids
+                )
+                numpy.testing.assert_array_equal(
+                    got_e.tgt_label_ids, ref_e.tgt_label_ids
+                )
+                assert got_e.labels.sets == ref_e.labels.sets
+                assert got_e.labels.tokens == ref_e.labels.tokens
+                assert got_e.keys.sets == ref_e.keys.sets
+                assert got_e.keys.orders == ref_e.keys.orders
 
     def test_key_order_follows_shard_representative_row(self, tmp_path):
         """Two rows share a key *set* but not a key *order*: each shard's

@@ -94,26 +94,71 @@ class TestShardPlans:
         shard = figure1_store.materialize_shard(restored[1])
         assert shard.index == 1
 
-    def test_out_of_range_index_rejected(self, figure1_store):
+    def test_out_of_range_index_rejected(self, figure1_graph, tmp_path):
+        from repro.graph.diskstore import write_graph_to_slabs
         from repro.graph.store import ShardPlan
 
-        with pytest.raises(ValueError):
-            figure1_store.materialize_shard(ShardPlan(3, 3))
+        disk = write_graph_to_slabs(figure1_graph, tmp_path / "slabs")
+        for store in (GraphStore(figure1_graph), disk):
+            for read in (store.materialize_shard, store.columnize_shard):
+                with pytest.raises(ValueError, match="out of range"):
+                    read(ShardPlan(3, 3))
+        disk.close()
 
     def test_invalid_shard_count(self, figure1_store):
         with pytest.raises(ValueError):
             figure1_store.plan_shards(0)
 
-    def test_partition_cache_reused(self, figure1_store):
+    def test_partition_cache_reused(self, figure1_store, monkeypatch):
+        partitions = []
+        partition_tables = figure1_store.partition_tables
+
+        def counted(*args, **kwargs):
+            partitions.append(args)
+            return partition_tables(*args, **kwargs)
+
+        monkeypatch.setattr(figure1_store, "partition_tables", counted)
+        plans = figure1_store.plan_shards(3, seed=5)
+        figure1_store.materialize_shard(plans[0])
+        figure1_store.columnize_shard(plans[1])
         figure1_store.plan_shards(3, seed=5)
-        cached = figure1_store._partition_cache
-        figure1_store.materialize_shard(
-            figure1_store.plan_shards(3, seed=5)[0]
-        )
-        assert figure1_store._partition_cache is cached
+        assert len(partitions) == 1
         # A different sharding replaces the (single-entry) cache.
         figure1_store.plan_shards(2, seed=5)
-        assert figure1_store._partition_cache is not cached
+        figure1_store.materialize_shard(plans[2])
+        assert len(partitions) == 3
+
+
+class TestGraphMutation:
+    """A reused store must follow its graph, not serve a cached partition."""
+
+    @staticmethod
+    def _schema(store):
+        from repro.core import PGHive
+        from repro.schema.serialize_pgschema import serialize_pg_schema
+
+        result = PGHive().discover_incremental(store, num_batches=2)
+        return serialize_pg_schema(result.schema)
+
+    def test_remove_node_after_discovery(self, figure1_graph):
+        store = GraphStore(figure1_graph)
+        self._schema(store)
+        figure1_graph.remove_node(6)
+        assert self._schema(store) == self._schema(GraphStore(figure1_graph))
+
+    def test_replace_node_after_discovery(self, figure1_graph):
+        from repro.graph.model import Node
+
+        store = GraphStore(figure1_graph)
+        before = self._schema(store)
+        # Same element counts, different content: a cache keyed on
+        # counts would stay stale.
+        figure1_graph.replace_node(
+            Node(6, frozenset({"City"}), {"name": "Heraklion", "zip": 71})
+        )
+        after = self._schema(store)
+        assert after != before
+        assert after == self._schema(GraphStore(figure1_graph))
 
 
 class TestDegreeExtremes:

@@ -160,6 +160,21 @@ class TestLifecycle:
         registry.close()
         assert self._litter(tmp_path) == []
 
+    @needs_shm
+    def test_empty_segment_of_a_killed_worker_is_reclaimed(self, tmp_path):
+        """A worker killed between creating its segment and sizing it
+        leaves a zero-length object; the sweep must unlink it too."""
+        import _posixshmem
+
+        registry = _registry("shm", tmp_path)
+        name = registry.reserve()
+        fd = _posixshmem.shm_open(
+            f"/{name}", os.O_CREAT | os.O_EXCL | os.O_RDWR, mode=0o600
+        )
+        os.close(fd)
+        registry.close()
+        assert self._litter(tmp_path) == []
+
     @pytest.mark.parametrize("transport", ZERO_COPY)
     def test_release_reclaims_a_published_segment(
         self, transport, tmp_path
